@@ -237,8 +237,8 @@ mod tests {
                     owner: AccountId(0),
                     from: EmailAddress::new("victim", "homemail.com"),
                     to: vec![],
-                    subject,
-                    body,
+                    subject: subject.into(),
+                    body: body.into(),
                     attachments: vec![],
                     kind: MessageKind::Scam,
                     reply_to: None,

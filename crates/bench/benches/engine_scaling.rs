@@ -19,14 +19,18 @@
 //! PR over PR.
 //!
 //! Run with `-- --smoke` (what `scripts/check.sh bench-smoke` does) to
-//! skip criterion and profile a smaller scenario: it writes only
-//! `BENCH_scaling.json` and warns — non-fatally, CI timing is noisy —
-//! if the 8-worker `shard_day` wall-clock exceeds the 1-worker one.
+//! skip criterion and profile a smaller scenario: it writes
+//! `BENCH_scaling.json` into the temp dir (`std::env::temp_dir()`, which
+//! honours `TMPDIR`), never over the committed artifact, reads it back
+//! and checks it parses to what was written, and warns — non-fatally,
+//! CI timing is noisy — if the 8-worker `shard_day` wall-clock exceeds
+//! the 1-worker one.
 
 use criterion::{criterion_group, Criterion};
 use mhw_core::{ScenarioConfig, ShardedEngine};
 use mhw_obs::EngineProfile;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 fn scaling_config() -> ScenarioConfig {
     let mut config = ScenarioConfig::small_test(0x5CA1);
@@ -82,7 +86,7 @@ struct ObsBench {
 
 /// One row of `BENCH_scaling.json`: how one worker count fared on the
 /// same scenario, against the 1-worker baseline.
-#[derive(Serialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct ScalingRow {
     workers: usize,
     build_ms: f64,
@@ -95,7 +99,7 @@ struct ScalingRow {
 }
 
 /// The whole `BENCH_scaling.json` document.
-#[derive(Serialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct ScalingBench {
     scenario: String,
     rows: Vec<ScalingRow>,
@@ -154,9 +158,9 @@ fn phase_ms(profile: &EngineProfile, phase: &str) -> f64 {
     profile.phases.iter().find(|p| p.phase == phase).map_or(0.0, |p| p.total_ms)
 }
 
-/// Distil profiled runs into the per-worker-count speedup table and
-/// write it to `BENCH_scaling.json` at the workspace root.
-fn write_scaling_bench(runs: &[ObsRun], scenario: &str) {
+/// Distil profiled runs into the per-worker-count speedup table, write
+/// it to `path` and return the document written.
+fn write_scaling_bench(runs: &[ObsRun], scenario: &str, path: &Path) -> ScalingBench {
     let baseline = phase_ms(&runs[0].profile, "shard_day").max(f64::MIN_POSITIVE);
     let rows: Vec<ScalingRow> = runs
         .iter()
@@ -180,9 +184,9 @@ fn write_scaling_bench(runs: &[ObsRun], scenario: &str) {
     }
     let doc = ScalingBench { scenario: scenario.to_string(), rows };
     let json = serde_json::to_string(&doc).expect("serialize BENCH_scaling.json");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
     std::fs::write(path, json).expect("write BENCH_scaling.json");
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
+    doc
 }
 
 /// Non-fatal guard: shout if the worst worker count is slower than the
@@ -228,7 +232,12 @@ fn main() {
         config.population.n_users = 160;
         config.market_share = 0.25;
         let runs = profile_runs(&config, 8);
-        write_scaling_bench(&runs, "smoke: 8 shards, 160 users, 2 days, seed 0x5CA1");
+        let path = std::env::temp_dir().join("BENCH_scaling.json");
+        let doc =
+            write_scaling_bench(&runs, "smoke: 8 shards, 160 users, 2 days, seed 0x5CA1", &path);
+        let json = std::fs::read_to_string(&path).expect("read back BENCH_scaling.json");
+        let back: ScalingBench = serde_json::from_str(&json).expect("parse BENCH_scaling.json");
+        assert_eq!(back, doc, "BENCH_scaling.json must read back as written");
         warn_if_inverse_scaling(&runs);
         return;
     }
@@ -236,7 +245,8 @@ fn main() {
     // criterion warm-up burns the CPU budget and would skew whatever
     // runs after it.
     let runs = write_obs_profile();
-    write_scaling_bench(&runs, "8 shards, 400 users, 4 days, seed 0x5CA1");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
+    write_scaling_bench(&runs, "8 shards, 400 users, 4 days, seed 0x5CA1", Path::new(path));
     warn_if_inverse_scaling(&runs);
     engine();
 }

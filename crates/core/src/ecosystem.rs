@@ -1065,21 +1065,9 @@ impl Ecosystem {
 
     fn organic_mail_activity(&mut self, at: SimTime, account: AccountId, user: UserVitals) {
         let mut t = at.plus(SimDuration::from_secs(30));
-        // Read a few unread inbox messages; react to abuse.
-        let inbox = self.provider.mailbox(account).list_folder(Folder::Inbox);
-        let unread: Vec<MessageId> = inbox
-            .iter()
-            .rev()
-            .filter(|id| {
-                self.provider
-                    .mailbox(account)
-                    .get(**id)
-                    .map(|m| !m.read)
-                    .unwrap_or(false)
-            })
-            .take(12)
-            .copied()
-            .collect();
+        // Read a few unread inbox messages, newest first; react to abuse.
+        let unread: Vec<MessageId> =
+            self.provider.mailbox(account).newest_unread_inbox().take(12).collect();
         for id in unread {
             // The message can vanish mid-session (a hijack session for a
             // *different* captured credential may purge mail between

@@ -9,7 +9,7 @@
 //! delivery or forward a copy to an external address.
 
 use crate::mailbox::Folder;
-use crate::message::Message;
+use crate::message::{contains_ignore_ascii_case, Message};
 use mhw_types::{EmailAddress, FilterId};
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +32,8 @@ pub struct MailFilter {
     pub id: FilterId,
     /// Match messages from this exact address (if set).
     pub match_from: Option<EmailAddress>,
-    /// Match messages whose subject contains this (lower-cased) needle.
+    /// Match messages whose subject contains this needle, ignoring ASCII
+    /// case on both sides.
     pub match_subject_contains: Option<String>,
     /// `true` ⇒ match every inbound message (the "forward all" rule).
     pub match_all: bool,
@@ -54,7 +55,7 @@ impl MailFilter {
         }
         if let Some(needle) = &self.match_subject_contains {
             any_criterion = true;
-            if !m.subject.to_ascii_lowercase().contains(&needle.to_ascii_lowercase()) {
+            if !contains_ignore_ascii_case(&m.subject, needle) {
                 return false;
             }
         }
@@ -113,8 +114,8 @@ mod tests {
             owner: AccountId(0),
             from: EmailAddress::new(from, "x.com"),
             to: vec![],
-            subject: subject.to_string(),
-            body: String::new(),
+            subject: subject.into(),
+            body: "".into(),
             attachments: vec![],
             kind: MessageKind::Personal,
             reply_to: None,
@@ -260,8 +261,8 @@ mod proptests {
             owner: AccountId(0),
             from: EmailAddress::new("someone", "x.com"),
             to: vec![],
-            subject: subject.to_string(),
-            body: String::new(),
+            subject: subject.into(),
+            body: "".into(),
             attachments: vec![],
             kind: MessageKind::Personal,
             reply_to: None,

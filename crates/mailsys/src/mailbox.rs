@@ -9,7 +9,6 @@
 use crate::message::Message;
 use mhw_types::{AccountId, EmailAddress, MessageId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Mailbox folders. `Starred` never stores messages — it is materialized
 /// from the starred flag when opened.
@@ -49,7 +48,7 @@ pub struct ContactEntry {
 
 /// Tombstone for a purged or hijacker-trashed message, kept for
 /// remission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tombstone {
     pub message: Message,
     pub deleted_at: SimTime,
@@ -57,13 +56,33 @@ pub struct Tombstone {
     pub previous_folder: Folder,
 }
 
+/// A stored message with its physical folder inline.
+#[derive(Debug, Clone)]
+struct Slot {
+    message: Message,
+    folder: Folder,
+}
+
+impl Slot {
+    fn is_unread_inbox(&self) -> bool {
+        self.folder == Folder::Inbox && !self.message.read
+    }
+}
+
 /// One user's mailbox.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Messages live in one vector of slots sorted by id. The provider
+/// hands out ids in increasing order, so storing new mail is a push;
+/// only remission restores insert in the middle. A second sorted vector
+/// indexes the unread Inbox ids, so an owner's login reads its newest
+/// unread mail without scanning the mailbox. `read` changes only
+/// through [`Mailbox::mark_read`], which keeps that index exact.
+#[derive(Debug, Clone, Default)]
 pub struct Mailbox {
-    /// Message storage. `BTreeMap` keeps iteration deterministic.
-    messages: BTreeMap<MessageId, Message>,
-    /// Physical folder of each stored message.
-    folders: BTreeMap<MessageId, Folder>,
+    /// Live messages, ascending by id.
+    slots: Vec<Slot>,
+    /// Ids of unread Inbox messages, ascending.
+    unread_inbox: Vec<MessageId>,
     /// Purged messages (tombstones for remission).
     tombstones: Vec<Tombstone>,
     /// Contact list.
@@ -77,79 +96,145 @@ impl Mailbox {
         Self::default()
     }
 
-    /// Store a message in `folder`. Overwrites nothing: message ids are
-    /// globally unique.
+    fn position(&self, id: MessageId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&id, |s| s.message.id)
+    }
+
+    fn slot_mut(&mut self, id: MessageId) -> Option<&mut Slot> {
+        let i = self.position(id).ok()?;
+        Some(&mut self.slots[i])
+    }
+
+    /// Make `id`'s membership of the unread-Inbox index equal `unread`.
+    fn track_unread(&mut self, id: MessageId, unread: bool) {
+        match (self.unread_inbox.binary_search(&id), unread) {
+            (Err(i), true) => self.unread_inbox.insert(i, id),
+            (Ok(i), false) => {
+                self.unread_inbox.remove(i);
+            }
+            _ => {}
+        }
+    }
+
+    /// Put a slot at its id's position, replacing a live message with
+    /// the same id.
+    fn insert(&mut self, slot: Slot) {
+        let id = slot.message.id;
+        let unread = slot.is_unread_inbox();
+        match self.slots.last() {
+            Some(last) if last.message.id >= id => match self.position(id) {
+                Ok(i) => self.slots[i] = slot,
+                Err(i) => self.slots.insert(i, slot),
+            },
+            _ => self.slots.push(slot),
+        }
+        self.track_unread(id, unread);
+    }
+
+    /// Store a message in `folder`. Message ids are globally unique, so
+    /// this overwrites nothing in practice; a repeated id replaces the
+    /// earlier message.
     pub fn store(&mut self, message: Message, folder: Folder) {
         debug_assert!(folder.is_storage(), "cannot store into the Starred view");
-        let id = message.id;
-        self.messages.insert(id, message);
-        self.folders.insert(id, folder);
+        self.insert(Slot { message, folder });
     }
 
     pub fn get(&self, id: MessageId) -> Option<&Message> {
-        self.messages.get(&id)
-    }
-
-    pub fn get_mut(&mut self, id: MessageId) -> Option<&mut Message> {
-        self.messages.get_mut(&id)
+        self.position(id).ok().map(|i| &self.slots[i].message)
     }
 
     /// Physical folder of a message.
     pub fn folder_of(&self, id: MessageId) -> Option<Folder> {
-        self.folders.get(&id).copied()
+        self.position(id).ok().map(|i| self.slots[i].folder)
+    }
+
+    /// Mark a message read. Returns `false` if the message is unknown.
+    pub fn mark_read(&mut self, id: MessageId) -> bool {
+        let Some(slot) = self.slot_mut(id) else {
+            return false;
+        };
+        slot.message.read = true;
+        self.track_unread(id, false);
+        true
+    }
+
+    /// Set a message's starred flag. Returns `false` if the message is
+    /// unknown.
+    pub fn set_starred(&mut self, id: MessageId, starred: bool) -> bool {
+        let Some(slot) = self.slot_mut(id) else {
+            return false;
+        };
+        slot.message.starred = starred;
+        true
     }
 
     /// Ids shown when opening `folder` (materializes the Starred view),
     /// in id (≈ arrival) order.
     pub fn list_folder(&self, folder: Folder) -> Vec<MessageId> {
-        match folder {
-            Folder::Starred => self
-                .messages
-                .values()
-                .filter(|m| m.starred && self.folders[&m.id] != Folder::Trash)
-                .map(|m| m.id)
-                .collect(),
-            f => self
-                .folders
-                .iter()
-                .filter(|(_, fol)| **fol == f)
-                .map(|(id, _)| *id)
-                .collect(),
-        }
+        let shown = |s: &Slot| match folder {
+            Folder::Starred => s.message.starred && s.folder != Folder::Trash,
+            f => s.folder == f,
+        };
+        self.slots.iter().filter(|s| shown(s)).map(|s| s.message.id).collect()
     }
 
-    /// All live (non-tombstoned) messages.
+    /// Unread Inbox ids, newest first, read off the index.
+    pub fn newest_unread_inbox(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.unread_inbox.iter().rev().copied()
+    }
+
+    /// All live (non-tombstoned) messages, in id order.
     pub fn all_messages(&self) -> impl Iterator<Item = &Message> {
-        self.messages.values()
+        self.slots.iter().map(|s| &s.message)
+    }
+
+    /// All live messages with their folders, in id order.
+    pub(crate) fn messages_in_folders(&self) -> impl Iterator<Item = (&Message, Folder)> {
+        self.slots.iter().map(|s| (&s.message, s.folder))
     }
 
     /// Total number of live messages.
     pub fn len(&self) -> usize {
-        self.messages.len()
+        self.slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.slots.is_empty()
     }
 
     /// Move a message to another storage folder (e.g. to Trash).
     /// Returns the previous folder, or `None` if the message is unknown.
     pub fn move_to(&mut self, id: MessageId, folder: Folder) -> Option<Folder> {
         debug_assert!(folder.is_storage(), "cannot move into the Starred view");
-        if !self.messages.contains_key(&id) {
-            return None;
-        }
-        self.folders.insert(id, folder)
+        let slot = self.slot_mut(id)?;
+        let previous = std::mem::replace(&mut slot.folder, folder);
+        let unread = slot.is_unread_inbox();
+        self.track_unread(id, unread);
+        Some(previous)
     }
 
     /// Permanently delete a message, leaving a tombstone.
     pub fn purge(&mut self, id: MessageId, at: SimTime) -> bool {
-        let Some(message) = self.messages.remove(&id) else {
+        let Ok(i) = self.position(id) else {
             return false;
         };
-        let previous_folder = self.folders.remove(&id).unwrap_or(Folder::Inbox);
-        self.tombstones.push(Tombstone { message, deleted_at: at, previous_folder });
+        let Slot { message, folder } = self.slots.remove(i);
+        self.track_unread(id, false);
+        self.tombstones.push(Tombstone { message, deleted_at: at, previous_folder: folder });
         true
+    }
+
+    /// Permanently delete every live message in one pass, leaving a
+    /// tombstone for each. Returns the purged ids in id order.
+    pub fn purge_all(&mut self, at: SimTime) -> Vec<MessageId> {
+        self.unread_inbox.clear();
+        let mut ids = Vec::with_capacity(self.slots.len());
+        self.tombstones.reserve(self.slots.len());
+        for Slot { message, folder } in self.slots.drain(..) {
+            ids.push(message.id);
+            self.tombstones.push(Tombstone { message, deleted_at: at, previous_folder: folder });
+        }
+        ids
     }
 
     /// Restore every message tombstoned at or after `since` back into its
@@ -157,18 +242,14 @@ impl Mailbox {
     /// Returns the number restored.
     pub fn restore_purged_since(&mut self, since: SimTime) -> usize {
         let mut restored = 0;
-        let mut keep = Vec::new();
-        for t in self.tombstones.drain(..) {
+        for t in std::mem::take(&mut self.tombstones) {
             if t.deleted_at >= since {
-                let id = t.message.id;
-                self.messages.insert(id, t.message);
-                self.folders.insert(id, t.previous_folder);
+                self.insert(Slot { message: t.message, folder: t.previous_folder });
                 restored += 1;
             } else {
-                keep.push(t);
+                self.tombstones.push(t);
             }
         }
-        self.tombstones = keep;
         restored
     }
 
@@ -230,7 +311,7 @@ mod tests {
             owner: AccountId(0),
             from: EmailAddress::new("from", "x.com"),
             to: vec![],
-            subject: format!("subject {id}"),
+            subject: format!("subject {id}").into(),
             body: "body".into(),
             attachments: vec![],
             kind: MessageKind::Personal,

@@ -10,6 +10,7 @@
 
 use mhw_types::{AccountId, EmailAddress, MessageId, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Ground-truth provenance of a message. Detection code must not branch
 /// on this; the measurement pipeline uses it to validate classifier
@@ -88,15 +89,19 @@ impl MessageDraft {
 }
 
 /// A stored message in some mailbox.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Subject and body are shared: the provider deduplicates message text,
+/// so a Sent copy, its delivered copies and every repeat of a template
+/// point at one allocation.
+#[derive(Debug, Clone)]
 pub struct Message {
     pub id: MessageId,
     /// Owning mailbox.
     pub owner: AccountId,
     pub from: EmailAddress,
     pub to: Vec<EmailAddress>,
-    pub subject: String,
-    pub body: String,
+    pub subject: Arc<str>,
+    pub body: Arc<str>,
     pub attachments: Vec<String>,
     pub kind: MessageKind,
     pub reply_to: Option<EmailAddress>,
@@ -105,11 +110,37 @@ pub struct Message {
     pub starred: bool,
 }
 
+/// Whether `haystack.to_ascii_lowercase()` contains `needle`, decided
+/// byte for byte without allocating. Only ASCII capitals fold, as in
+/// `to_ascii_lowercase`, so a needle holding one never matches.
+pub fn contains_lowercased(haystack: &str, needle: &str) -> bool {
+    find_folded(haystack.as_bytes(), needle.as_bytes(), false)
+}
+
+/// Whether `haystack.to_ascii_lowercase()` contains
+/// `needle.to_ascii_lowercase()`: [`contains_lowercased`] with the
+/// needle folded too.
+pub fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    find_folded(haystack.as_bytes(), needle.as_bytes(), true)
+}
+
+fn find_folded(haystack: &[u8], needle: &[u8], fold_needle: bool) -> bool {
+    let fold = |b: u8| if fold_needle { b.to_ascii_lowercase() } else { b };
+    let Some((&first, rest)) = needle.split_first() else {
+        return true;
+    };
+    let first = fold(first);
+    haystack.windows(needle.len()).any(|w| {
+        w[0].to_ascii_lowercase() == first
+            && w[1..].iter().zip(rest).all(|(h, n)| h.to_ascii_lowercase() == fold(*n))
+    })
+}
+
 impl Message {
     /// Case-insensitive haystack over subject and body.
     pub fn text_matches(&self, needle_lower: &str) -> bool {
-        self.subject.to_ascii_lowercase().contains(needle_lower)
-            || self.body.to_ascii_lowercase().contains(needle_lower)
+        contains_lowercased(&self.subject, needle_lower)
+            || contains_lowercased(&self.body, needle_lower)
     }
 
     /// Whether any attachment has one of the given extensions.
@@ -133,8 +164,8 @@ mod tests {
             owner: AccountId(0),
             from: EmailAddress::new("a", "x.com"),
             to: vec![EmailAddress::new("b", "y.com")],
-            subject: subject.to_string(),
-            body: body.to_string(),
+            subject: subject.into(),
+            body: body.into(),
             attachments: attachments.into_iter().map(String::from).collect(),
             kind: MessageKind::Personal,
             reply_to: None,

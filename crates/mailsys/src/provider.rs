@@ -17,6 +17,8 @@ use mhw_types::{
     AccountId, EmailAddress, EventSink, FilterId, Interner, LogStore, MessageId, ShardId, SimTime,
     Sym,
 };
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Messages sent from internal accounts (one per Sent event).
 pub const M_MESSAGES_SENT: MetricId = MetricId("mailsys.messages_sent");
@@ -59,6 +61,9 @@ pub struct MailProvider {
     /// index, and address → account resolution is one table probe with
     /// no separate reverse map.
     addresses: Interner<EmailAddress>,
+    /// Every distinct subject and body stored so far: copies of one
+    /// text share a single allocation.
+    texts: HashSet<Arc<str>>,
     next_message: u32,
     next_filter: u32,
     log: LogStore<MailEvent>,
@@ -70,6 +75,7 @@ impl Default for MailProvider {
         MailProvider {
             accounts: Vec::new(),
             addresses: Interner::new(),
+            texts: HashSet::new(),
             next_message: 0,
             next_filter: 0,
             log: LogStore::default(),
@@ -79,6 +85,39 @@ impl Default for MailProvider {
                 .with_counter(M_MAIL_SPAM_FOLDERED)
                 .with_counter(M_SEARCHES)
                 .with_counter(M_SPAM_REPORTS),
+        }
+    }
+}
+
+/// A draft's subject and body after deduplication.
+struct SharedText {
+    subject: Arc<str>,
+    body: Arc<str>,
+}
+
+impl SharedText {
+    /// An unread, unstarred copy of `draft` in `owner`'s mailbox.
+    fn message(
+        &self,
+        id: MessageId,
+        owner: AccountId,
+        from: EmailAddress,
+        draft: &MessageDraft,
+        at: SimTime,
+    ) -> Message {
+        Message {
+            id,
+            owner,
+            from,
+            to: draft.to.clone(),
+            subject: Arc::clone(&self.subject),
+            body: Arc::clone(&self.body),
+            attachments: draft.attachments.clone(),
+            kind: draft.kind,
+            reply_to: draft.reply_to.clone(),
+            at,
+            read: false,
+            starred: false,
         }
     }
 }
@@ -170,6 +209,20 @@ impl MailProvider {
         id
     }
 
+    fn share(&mut self, text: &str) -> Arc<str> {
+        if let Some(shared) = self.texts.get(text) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(text);
+        self.texts.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// A draft's subject and body as shared text.
+    fn share_text(&mut self, draft: &MessageDraft) -> SharedText {
+        SharedText { subject: self.share(&draft.subject), body: self.share(&draft.body) }
+    }
+
     // ---- sending & delivery ----
 
     /// Send a message from an internal account.
@@ -188,21 +241,10 @@ impl MailProvider {
         mut classify_spam: impl FnMut(&Message) -> bool,
     ) -> (MessageId, Vec<MessageId>) {
         let from_addr = self.address_of(from).clone();
+        let text = self.share_text(&draft);
         let sent_id = self.alloc_message();
-        let sent_copy = Message {
-            id: sent_id,
-            owner: from,
-            from: from_addr.clone(),
-            to: draft.to.clone(),
-            subject: draft.subject.clone(),
-            body: draft.body.clone(),
-            attachments: draft.attachments.clone(),
-            kind: draft.kind,
-            reply_to: draft.reply_to.clone(),
-            at,
-            read: true,
-            starred: false,
-        };
+        let mut sent_copy = text.message(sent_id, from, from_addr.clone(), &draft, at);
+        sent_copy.read = true;
         self.accounts[from.index()].mailbox.store(sent_copy, Folder::Sent);
         self.metrics.inc(M_MESSAGES_SENT);
         self.push_event(
@@ -219,6 +261,7 @@ impl MailProvider {
                     rcpt_id,
                     from_addr.clone(),
                     &draft,
+                    &text,
                     at,
                     &mut classify_spam,
                 );
@@ -239,7 +282,8 @@ impl MailProvider {
         at: SimTime,
         mut classify_spam: impl FnMut(&Message) -> bool,
     ) -> MessageId {
-        self.deliver_internal(to, from, draft, at, &mut classify_spam)
+        let text = self.share_text(draft);
+        self.deliver_internal(to, from, draft, &text, at, &mut classify_spam)
     }
 
     fn deliver_internal(
@@ -247,24 +291,12 @@ impl MailProvider {
         to: AccountId,
         from: EmailAddress,
         draft: &MessageDraft,
+        text: &SharedText,
         at: SimTime,
         classify_spam: &mut impl FnMut(&Message) -> bool,
     ) -> MessageId {
         let id = self.alloc_message();
-        let msg = Message {
-            id,
-            owner: to,
-            from,
-            to: draft.to.clone(),
-            subject: draft.subject.clone(),
-            body: draft.body.clone(),
-            attachments: draft.attachments.clone(),
-            kind: draft.kind,
-            reply_to: draft.reply_to.clone(),
-            at,
-            read: false,
-            starred: false,
-        };
+        let msg = text.message(id, to, from, draft, at);
         let spam = classify_spam(&msg);
         // User filters run on mail the spam filter lets through.
         let outcome = if spam {
@@ -297,8 +329,7 @@ impl MailProvider {
 
     /// Open a message, marking it read.
     pub fn read_message(&mut self, account: AccountId, actor: Actor, id: MessageId, at: SimTime) {
-        if let Some(m) = self.accounts[account.index()].mailbox.get_mut(id) {
-            m.read = true;
+        if self.accounts[account.index()].mailbox.mark_read(id) {
             self.push_event(at, account, actor, MailEventKind::Read { message: id });
         }
     }
@@ -411,13 +442,9 @@ impl MailProvider {
     /// Purge every live message — the §5.4 mass-deletion tactic.
     /// Returns the number of messages deleted.
     pub fn mass_delete(&mut self, account: AccountId, actor: Actor, at: SimTime) -> usize {
-        let ids: Vec<MessageId> = self.accounts[account.index()]
-            .mailbox
-            .all_messages()
-            .map(|m| m.id)
-            .collect();
-        for id in &ids {
-            self.purge_message(account, actor, *id, at);
+        let ids = self.accounts[account.index()].mailbox.purge_all(at);
+        for &message in &ids {
+            self.push_event(at, account, actor, MailEventKind::Purged { message });
         }
         ids.len()
     }

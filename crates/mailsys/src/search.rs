@@ -88,23 +88,17 @@ impl SearchQuery {
 /// webmail search) and returns ids in arrival order.
 pub fn search(mailbox: &Mailbox, query: &SearchQuery) -> Vec<MessageId> {
     let phrase = query.terms.join(" ");
+    let exts: Vec<&str> = query.filename_exts.iter().map(String::as_str).collect();
     mailbox
-        .all_messages()
-        .filter(|m| {
-            !matches!(
-                mailbox.folder_of(m.id),
-                Some(Folder::Trash) | Some(Folder::Spam)
-            )
-        })
+        .messages_in_folders()
+        .filter(|(_, folder)| !matches!(folder, Folder::Trash | Folder::Spam))
+        .map(|(m, _)| m)
         .filter(|m| {
             if query.starred_only && !m.starred {
                 return false;
             }
-            if !query.filename_exts.is_empty() {
-                let exts: Vec<&str> = query.filename_exts.iter().map(String::as_str).collect();
-                if !m.has_attachment_ext(&exts) {
-                    return false;
-                }
+            if !exts.is_empty() && !m.has_attachment_ext(&exts) {
+                return false;
             }
             if !query.terms.is_empty() {
                 // Phrase match, falling back to all-terms match.
@@ -132,8 +126,8 @@ mod tests {
             owner: AccountId(0),
             from: EmailAddress::new("from", "x.com"),
             to: vec![],
-            subject: subject.to_string(),
-            body: body.to_string(),
+            subject: subject.into(),
+            body: body.into(),
             attachments: attachments.into_iter().map(String::from).collect(),
             kind: MessageKind::Personal,
             reply_to: None,

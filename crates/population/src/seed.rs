@@ -77,7 +77,9 @@ pub fn seed_mailbox(
     let n_bulk = 6 + rng.below(10);
     let n_personal = 4 + rng.below(8);
 
-    let deliver = |provider: &mut MailProvider,
+    // One draft, refilled per message: the provider copies what it keeps.
+    let mut draft = MessageDraft::personal(vec![user.address.clone()], "", "");
+    let mut deliver = |provider: &mut MailProvider,
                        from: EmailAddress,
                        subject: &str,
                        body: &str,
@@ -86,14 +88,12 @@ pub fn seed_mailbox(
                        rng: &mut SimRng| {
         let age = SimDuration::from_secs(rng.below(360 * DAY));
         let at = SimTime::from_secs(now.as_secs().saturating_sub(age.as_secs()));
-        let draft = MessageDraft {
-            to: vec![user.address.clone()],
-            subject: subject.to_string(),
-            body: body.to_string(),
-            attachments,
-            kind,
-            reply_to: None,
-        };
+        draft.subject.clear();
+        draft.subject.push_str(subject);
+        draft.body.clear();
+        draft.body.push_str(body);
+        draft.attachments = attachments;
+        draft.kind = kind;
         provider.deliver_external(user.account, from, &draft, at, |_: &Message| false)
     };
 
@@ -110,9 +110,7 @@ pub fn seed_mailbox(
         );
         // Users star important financial mail sometimes.
         if rng.chance(0.25) {
-            if let Some(m) = provider.mailbox_mut(user.account).get_mut(id) {
-                m.starred = true;
-            }
+            provider.mailbox_mut(user.account).set_starred(id, true);
         }
     }
     for _ in 0..n_linked {

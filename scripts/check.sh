@@ -7,6 +7,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate must leave the working tree as it found it; the last step
+# compares against this.
+status_before=$(git status --porcelain)
+
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
@@ -74,10 +78,12 @@ cargo run --offline --release -p mhw-experiments --bin sweep -- \
 
 echo "== bench-smoke =="
 # Scaling smoke: profile the engine at 1/2/4/8 workers on a small
-# scenario and write BENCH_scaling.json. The bench itself prints a
-# non-fatal warning if a multi-worker shard_day exceeds the 1-worker
-# baseline (CI timing is noisy, so this never fails the gate).
-cargo bench --offline -p mhw-bench --bench engine_scaling -- --smoke
+# scenario, write BENCH_scaling.json into the temp dir and read it
+# back. Does not rewrite the committed BENCH_scaling.json. The bench
+# itself prints a non-fatal warning if a multi-worker shard_day exceeds
+# the 1-worker baseline (CI timing is noisy, so this never fails the
+# gate).
+TMPDIR="$fidelity_tmp" cargo bench --offline -p mhw-bench --bench engine_scaling -- --smoke
 
 echo "== bench-scale =="
 # Scale-ladder smoke: one miniature rung through the ladder's
@@ -95,5 +101,13 @@ echo "== bench-fork =="
 # the committed artifact comes from a full `cargo bench --bench
 # fork_sweep` run (see docs/REPRODUCING.md).
 cargo bench --offline -p mhw-bench --bench fork_sweep -- --smoke
+
+echo "== clean tree =="
+status_after=$(git status --porcelain)
+if [ "$status_after" != "$status_before" ]; then
+    echo "the gate changed the working tree:" >&2
+    diff <(echo "$status_before") <(echo "$status_after") >&2 || true
+    exit 1
+fi
 
 echo "all checks passed"
