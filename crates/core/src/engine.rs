@@ -43,6 +43,19 @@
 //! * **decoy pickups** — engine-scheduled decoy submissions are spread
 //!   round-robin over shards, so Figure 7-style probes land in every
 //!   segment of the merged log.
+//!
+//! # One way to restore a run at a day barrier
+//!
+//! Everything the day loop carries between days — shard worlds,
+//! exchange RNG, exported-incident marks, the engine registry — is one
+//! `Barrier` value, and every run is build → advance → finish over it.
+//! A snapshot ([`ShardedEngine::snapshot_after`]) keeps the barrier
+//! instead of finishing; a fork clones it, verifies the clone against
+//! the snapshot's record and advances it. A resume
+//! ([`ShardedEngine::resume_from`]) checks the record's identity
+//! before building, advances the fresh barrier fault-free to the
+//! recorded day in place, verifies it with the same barrier verifier,
+//! and advances on under the run's own faults and checkpoints.
 
 use crate::checkpoint::{self, Checkpoint, ShardCheckpoint};
 use crate::config::{DefenseConfig, RecoveryConfig, ScenarioConfig};
@@ -64,7 +77,6 @@ use mhw_types::{
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Credentials that changed hands on the cross-shard market (mirrors
@@ -167,76 +179,181 @@ impl std::error::Error for RunFailure {
     }
 }
 
-/// Package an abort into a [`RunFailure`] with a degraded report over
-/// whatever shards survived.
-fn salvage(
-    error: EngineError,
-    partial_shards: Vec<Ecosystem>,
+/// The engine's whole state at a day barrier: the shard worlds plus
+/// every piece of cross-shard state the day loop carries from one day
+/// to the next.
+///
+/// Every way of running reaches a barrier through this one value: a
+/// fresh run starts from [`Barrier::start`] and builds its shards into
+/// it, [`ShardedEngine::snapshot_after`] freezes one, a fork clones the
+/// frozen one, and a resume advances a freshly built one to the
+/// recorded day. Checkpoint files record a barrier ([`Barrier::record`])
+/// and restores prove they reached one ([`Barrier::verify`]).
+#[derive(Clone)]
+struct Barrier {
+    /// Shard worlds in shard order, each in its own cache-line padded
+    /// slot so two workers advancing neighbouring shards never
+    /// false-share a line.
+    shards: Vec<CachePadded<Ecosystem>>,
+    /// Simulated days every shard has completed, exchange included.
     completed_days: u64,
-    seed: u64,
-    n_shards: u16,
-    days: u64,
-    users: u32,
-) -> Box<RunFailure> {
-    let metrics =
-        MetricsSnapshot::merge_all(partial_shards.iter().map(|e| e.metrics_snapshot()));
-    let report = RunReport::new(seed, n_shards, days as u32, users, metrics)
-        .with_failure(error.to_string());
-    Box::new(RunFailure { error, partial_shards, completed_days, report })
+    /// The stream contact-graph spillover draws destinations from.
+    exchange_rng: SimRng,
+    /// Per-shard incident counts already exported at earlier barriers.
+    seen_incidents: Vec<usize>,
+    /// The engine registry: market trades, cross-shard lures, decoy
+    /// probes and the exchange-queue peak. It is the only copy of those
+    /// counters.
+    metrics: Registry,
 }
 
-/// Snapshot the engine's full barrier state as a [`Checkpoint`]. Used
-/// both to write checkpoint files and — on resume — to verify that the
-/// replayed state reproduces the recorded one exactly.
-#[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the list
-fn barrier_checkpoint(
-    shards: &[&mut Ecosystem],
-    seed: u64,
-    n_shards: u16,
-    days: u64,
-    users: u64,
-    config_fingerprint: u64,
-    completed_days: u64,
-    rng_exchange: &SimRng,
-    seen_incidents: &[usize],
-    market_trades: u64,
-    cross_shard_lures: u64,
-    engine_metrics: &Registry,
-) -> Checkpoint {
-    let merged = MetricsSnapshot::merge_all(
-        shards
-            .iter()
-            .map(|e| e.metrics_snapshot())
-            .chain(std::iter::once(engine_metrics.snapshot())),
-    );
-    let metrics_digest =
-        mhw_types::fnv::digest(format!("{merged:?}").as_bytes());
-    Checkpoint {
-        seed,
-        n_shards,
-        days,
-        users,
-        config_fingerprint,
-        completed_days,
-        exchange_rng: rng_exchange.state(),
-        market_trades,
-        cross_shard_lures,
-        seen_incidents: seen_incidents.iter().map(|n| *n as u64).collect(),
-        metrics_digest,
-        shards: shards
-            .iter()
-            .map(|e| ShardCheckpoint {
-                state_digest: e.state_digest(),
-                log_lens: e.log_lens(),
-                rng_states: e.rng_states(),
-            })
-            .collect(),
+impl Barrier {
+    /// Day 0 of a fresh run, before any shard is built.
+    fn start(seed: u64, n_shards: usize) -> Self {
+        Barrier {
+            shards: Vec::with_capacity(n_shards),
+            completed_days: 0,
+            exchange_rng: SimRng::stream(seed, "exchange"),
+            seen_incidents: vec![0; n_shards],
+            metrics: Registry::new()
+                .with_counter(M_MARKET_TRADES)
+                .with_counter(M_CROSS_SHARD_LURES)
+                .with_counter(M_DECOY_PROBES)
+                .with_gauge(M_EXCHANGE_QUEUE_PEAK),
+        }
+    }
+
+    fn market_trades(&self) -> u64 {
+        self.metrics.counter_value(M_MARKET_TRADES).unwrap_or(0)
+    }
+
+    fn cross_shard_lures(&self) -> u64 {
+        self.metrics.counter_value(M_CROSS_SHARD_LURES).unwrap_or(0)
+    }
+
+    /// The single-threaded exchange that closes `day`, in shard order.
+    fn exchange(&mut self, day: u64, spill: f64, days: u64) {
+        let Barrier { shards, exchange_rng, seen_incidents, metrics, .. } = self;
+        let k = shards.len();
+        let n_crews = shards.first().map_or(0, |e| e.crews.crews.len());
+
+        // Credential market. Buyers rotate over the global offer
+        // sequence, so the volume any shard sells shifts who buys
+        // everywhere else — shards are genuinely coupled — while
+        // exploitation stays in the victim's shard (the account lives
+        // there; crews are global).
+        let mut offer_seq = 0usize;
+        for shard in shards.iter_mut() {
+            for (seller, credential) in shard.drain_market_outbox() {
+                let buyer = if n_crews > 1 {
+                    CrewId::from_index((seller.index() + 1 + offer_seq % (n_crews - 1)) % n_crews)
+                } else {
+                    seller
+                };
+                offer_seq += 1;
+                if shard.import_market_credential(buyer, credential) {
+                    metrics.inc(M_MARKET_TRADES);
+                }
+            }
+        }
+        metrics.gauge_max(M_EXCHANGE_QUEUE_PEAK, offer_seq as u64);
+
+        // Contact-graph mail: new exploited incidents spill part of
+        // their phishing blast into other shards as next-day lures.
+        if k > 1 && spill > 0.0 && day + 1 < days {
+            let next_day = SimTime::from_secs((day + 1) * DAY);
+            let mut exports: Vec<(usize, SimTime, CrewId)> = Vec::new();
+            for s in 0..k {
+                let eco = &shards[s];
+                for inc in &eco.incidents()[seen_incidents[s]..] {
+                    let session = &eco.sessions()[inc.session];
+                    if !session.exploited || session.phishing_messages == 0 {
+                        continue;
+                    }
+                    let n_out = (session.phishing_messages as f64 * spill).round() as u64;
+                    for _ in 0..n_out {
+                        let mut dest = exchange_rng.below(k as u64 - 1) as usize;
+                        if dest >= s {
+                            dest += 1;
+                        }
+                        let at = next_day.plus(SimDuration::from_secs(exchange_rng.below(DAY)));
+                        exports.push((dest, at, inc.crew));
+                    }
+                }
+                seen_incidents[s] = eco.incidents().len();
+            }
+            for (dest, at, crew) in exports {
+                let n_users = shards[dest].population.len() as u64;
+                if n_users == 0 {
+                    continue;
+                }
+                let target =
+                    shards[dest].population.users[exchange_rng.below(n_users) as usize].account;
+                shards[dest].queue_external_lure(at, target, crew);
+                metrics.inc(M_CROSS_SHARD_LURES);
+            }
+        } else {
+            for (seen, eco) in seen_incidents.iter_mut().zip(shards.iter()) {
+                *seen = eco.incidents().len();
+            }
+        }
+    }
+
+    /// This barrier as a [`Checkpoint`] of `engine`'s scenario: what
+    /// checkpoint files and fork-point records hold, and what restores
+    /// compare against them.
+    fn record(&self, engine: &ShardedEngine) -> Checkpoint {
+        let merged = MetricsSnapshot::merge_all(
+            self.shards
+                .iter()
+                .map(|e| e.metrics_snapshot())
+                .chain(std::iter::once(self.metrics.snapshot())),
+        );
+        Checkpoint {
+            seed: engine.base.seed,
+            n_shards: engine.n_shards,
+            days: engine.base.days,
+            users: engine.base.population.n_users as u64,
+            config_fingerprint: engine.config_fingerprint(),
+            completed_days: self.completed_days,
+            exchange_rng: self.exchange_rng.state(),
+            market_trades: self.market_trades(),
+            cross_shard_lures: self.cross_shard_lures(),
+            seen_incidents: self.seen_incidents.iter().map(|n| *n as u64).collect(),
+            metrics_digest: mhw_types::fnv::digest(format!("{merged:?}").as_bytes()),
+            shards: self
+                .shards
+                .iter()
+                .map(|e| ShardCheckpoint {
+                    state_digest: e.state_digest(),
+                    log_lens: e.log_lens(),
+                    rng_states: e.rng_states(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Prove this barrier is the one `recorded` describes: the barrier
+    /// verifier both resume and forks use.
+    fn verify(
+        &self,
+        engine: &ShardedEngine,
+        recorded: &Checkpoint,
+        path: &str,
+    ) -> EngineResult<()> {
+        compare_barrier(path, recorded, &self.record(engine))
+    }
+
+    fn into_shards(self) -> Vec<Ecosystem> {
+        self.shards.into_iter().map(CachePadded::into_inner).collect()
     }
 }
 
-/// Compare the replayed barrier state against the checkpoint file's
-/// record, field by field, naming the first disagreement.
-fn verify_resume(path: &str, recorded: &Checkpoint, current: &Checkpoint) -> EngineResult<()> {
+/// The one barrier comparison: the recorded barrier state against the
+/// current one, field by field, naming the first disagreement. Record
+/// identity (scenario, shard count) is
+/// [`ShardedEngine::check_identity`]'s job.
+fn compare_barrier(path: &str, recorded: &Checkpoint, current: &Checkpoint) -> EngineResult<()> {
     macro_rules! check {
         ($field:ident) => {
             if recorded.$field != current.$field {
@@ -249,6 +366,7 @@ fn verify_resume(path: &str, recorded: &Checkpoint, current: &Checkpoint) -> Eng
             }
         };
     }
+    check!(completed_days);
     check!(exchange_rng);
     check!(market_trades);
     check!(cross_shard_lures);
@@ -266,6 +384,9 @@ fn verify_resume(path: &str, recorded: &Checkpoint, current: &Checkpoint) -> Eng
     }
     Ok(())
 }
+
+/// A checkpoint file read for a resume, with the path it came from.
+type Restore = (Checkpoint, String);
 
 /// Configures and runs a sharded scenario.
 pub struct ShardedEngine {
@@ -354,15 +475,19 @@ impl ShardedEngine {
         self
     }
 
-    /// Resume from a checkpoint file previously written under
-    /// [`checkpoint_to`](Self::checkpoint_to). Days up to the recorded
-    /// barrier are *replayed* deterministically (no faults injected, no
-    /// checkpoints written), then every recorded digest and RNG
-    /// position is verified against the file before the run continues;
-    /// any disagreement aborts with
-    /// [`EngineError::CheckpointMismatch`]. The file must come from the
-    /// same scenario: seed, shard count, days, population and the full
-    /// engine configuration are fingerprint-checked up front.
+    /// Restore the run at the day barrier recorded in `file` — a
+    /// checkpoint written under [`checkpoint_to`](Self::checkpoint_to)
+    /// or a fork-point record ([`WorldSnapshot::write_record`]; the
+    /// format is the same). The record's identity (seed, shard count,
+    /// days, population, full engine configuration, one entry per
+    /// shard) is checked before any shard is built. The shards are then
+    /// built and advanced to the recorded barrier in place, fault-free
+    /// and checkpoint-free as the original run computed those days,
+    /// and every recorded digest and RNG position is verified with the
+    /// same barrier verifier forks use before the run continues under
+    /// its own faults and checkpoints. Any disagreement aborts with
+    /// [`EngineError::CheckpointMismatch`] naming the first divergent
+    /// field.
     pub fn resume_from(mut self, file: impl Into<PathBuf>) -> Self {
         self.resume = Some(file.into());
         self
@@ -371,7 +496,7 @@ impl ShardedEngine {
     /// Inject a deterministic [`FaultPlan`] (shard panics, slow
     /// workers, checkpoint-write failures). Faults are crash mechanics,
     /// never world events: a slowed shard still produces byte-identical
-    /// datasets, and replayed days (under
+    /// datasets, and days before a restored barrier (under
     /// [`resume_from`](Self::resume_from)) skip the plan entirely.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
@@ -428,14 +553,191 @@ impl ShardedEngine {
             .collect()
     }
 
+    /// The requested worker count, clamped to the shard count.
+    fn worker_count(&self) -> usize {
+        self.workers.min(self.n_shards as usize).max(1)
+    }
+
+    /// The one record-identity check: `recorded` must come from this
+    /// scenario — seed, shard count, days, population, configuration
+    /// fingerprint, one entry per shard — at a mid-run barrier. The
+    /// barrier state itself is [`compare_barrier`]'s job.
+    fn check_identity(&self, recorded: &Checkpoint, path: &str) -> EngineResult<()> {
+        let days = self.base.days;
+        let mismatch = |field: &str, expected: String, found: String| {
+            EngineError::CheckpointMismatch {
+                path: path.to_string(),
+                field: field.to_string(),
+                expected,
+                found,
+            }
+        };
+        let identity: [(&str, u64, u64); 6] = [
+            ("seed", recorded.seed, self.base.seed),
+            ("n_shards", recorded.n_shards as u64, self.n_shards as u64),
+            ("days", recorded.days, days),
+            ("users", recorded.users, self.base.population.n_users as u64),
+            ("config_fingerprint", recorded.config_fingerprint, self.config_fingerprint()),
+            ("shards.len", recorded.shards.len() as u64, self.n_shards as u64),
+        ];
+        for (field, rec, ours) in identity {
+            if rec != ours {
+                return Err(mismatch(field, rec.to_string(), ours.to_string()));
+            }
+        }
+        if recorded.completed_days == 0 || recorded.completed_days >= days {
+            return Err(mismatch(
+                "completed_days",
+                format!("1..{days}"),
+                recorded.completed_days.to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Reject a bad configuration before any thread spawns, and read
+    /// and identity-check the resume record (if any) before any shard
+    /// is built. `snapshot_day` is the barrier a snapshot stops at.
+    fn prepare(&self, snapshot_day: Option<u64>) -> EngineResult<Option<Restore>> {
+        let days = self.base.days;
+        if let Some(policy) = &self.checkpoints {
+            if policy.every == 0 {
+                return Err(EngineError::InvalidConfig {
+                    reason: "checkpoint interval must be at least 1 day (got 0)".to_string(),
+                });
+            }
+            std::fs::create_dir_all(&policy.dir).map_err(|e| EngineError::CheckpointIo {
+                op: CheckpointOp::Write,
+                path: policy.dir.display().to_string(),
+                detail: e.to_string(),
+            })?;
+        }
+        self.faults.validate(days, self.n_shards)?;
+        if let Some(day) = snapshot_day {
+            if day == 0 || day >= days {
+                return Err(EngineError::InvalidConfig {
+                    reason: format!(
+                        "snapshot day must be a mid-run barrier (1..{days}), got {day}"
+                    ),
+                });
+            }
+        }
+        let Some(file) = &self.resume else { return Ok(None) };
+        let record = Checkpoint::read(file)?;
+        let path = file.display().to_string();
+        self.check_identity(&record, &path)?;
+        if let Some(day) = snapshot_day.filter(|day| record.completed_days > *day) {
+            return Err(EngineError::InvalidConfig {
+                reason: format!(
+                    "snapshot day {day} precedes the resumed barrier at day {}",
+                    record.completed_days
+                ),
+            });
+        }
+        Ok(Some((record, path)))
+    }
+
+    /// Package an abort into a [`RunFailure`] with a degraded report
+    /// over whatever shards survived.
+    fn salvage(
+        &self,
+        error: EngineError,
+        partial_shards: Vec<Ecosystem>,
+        completed_days: u64,
+    ) -> Box<RunFailure> {
+        let metrics =
+            MetricsSnapshot::merge_all(partial_shards.iter().map(|e| e.metrics_snapshot()));
+        let report = RunReport::new(
+            self.base.seed,
+            self.n_shards,
+            self.base.days as u32,
+            self.base.population.n_users as u32,
+            metrics,
+        )
+        .with_failure(error.to_string());
+        Box::new(RunFailure { error, partial_shards, completed_days, report })
+    }
+
+    /// Spawn this run's worker pool once, let `steps` move `barrier` on
+    /// it, and keep the barrier wherever it stopped: on success it comes
+    /// back with the run's wall-clock profile and ops registry, on an
+    /// abort its shards are salvaged into a [`RunFailure`].
+    fn drive(
+        &self,
+        mut barrier: Barrier,
+        steps: impl FnOnce(&mut Runtime<'_, '_>, &mut Barrier) -> EngineResult<()>,
+    ) -> Result<(Barrier, PhaseProfiler, Registry), Box<RunFailure>> {
+        // Never oversubscribe: shard days are CPU-bound, so threads
+        // beyond the hardware's parallelism only add context-switch and
+        // cache churn (half of the original inverse-scaling bug). The
+        // requested count is still what the profile reports — it is the
+        // scenario-independent knob — but the pool spawns at most one
+        // participant per hardware thread.
+        let threads = self.worker_count().min(default_workers());
+        let (outcome, profiler, ops) = WorkerPool::scoped(threads, |pool| {
+            let mut rt = Runtime {
+                engine: self,
+                pool,
+                profiler: PhaseProfiler::new(),
+                // Crash-safety mechanics live in their own registry,
+                // never merged into the sim-time snapshot: a resumed
+                // run's report must byte-equal an uninterrupted one.
+                ops: Registry::new()
+                    .with_counter(M_FAULTS_INJECTED)
+                    .with_counter(M_PANICS_CAUGHT)
+                    .with_counter(M_CHECKPOINTS_WRITTEN)
+                    .with_counter(M_CHECKPOINTS_RESTORED)
+                    .with_counter(M_CHECKPOINT_RETRIES),
+            };
+            let outcome = steps(&mut rt, &mut barrier);
+            (outcome, rt.profiler, rt.ops)
+        });
+        match outcome {
+            Ok(()) => Ok((barrier, profiler, ops)),
+            Err(error) => {
+                let completed_days = barrier.completed_days;
+                Err(self.salvage(error, barrier.into_shards(), completed_days))
+            }
+        }
+    }
+
+    /// Package a barrier at the scenario's last day as the public
+    /// [`ShardedRun`], timing a representative merge of the three event
+    /// logs so the profile reflects end-to-end cost (the merged views
+    /// are cheap borrows and are rebuilt on demand by the accessors).
+    fn finish(&self, barrier: Barrier, mut profiler: PhaseProfiler, ops: Registry) -> ShardedRun {
+        let market_trades = barrier.market_trades();
+        let cross_shard_lures = barrier.cross_shard_lures();
+        let Barrier { shards, metrics, .. } = barrier;
+        let shards: Vec<Ecosystem> = shards.into_iter().map(CachePadded::into_inner).collect();
+        profiler.time("log_merge", || {
+            let _ = LogStore::merge(shards.iter().map(|e| e.login_log.store()));
+            let _ = LogStore::merge(shards.iter().map(|e| e.provider.log_store()));
+            let _ = LogStore::merge(shards.iter().map(|e| e.notifications.log_store()));
+        });
+        ShardedRun {
+            shards,
+            market_trades,
+            cross_shard_lures,
+            seed: self.base.seed,
+            days: self.base.days,
+            users: self.base.population.n_users as u32,
+            n_shards: self.n_shards,
+            workers: self.worker_count(),
+            metrics,
+            ops,
+            profiler,
+        }
+    }
+
     /// Build all shards and run every configured day, exchanging
     /// cross-shard traffic at each day barrier.
     ///
     /// Parallel phases run on one persistent [`WorkerPool`] for the
     /// whole run. Every phase is a list of index-addressed jobs the
     /// workers claim from a shared atomic counter (work stealing), and
-    /// each job touches only its own shard's cache-padded slot — which
-    /// is why scheduling can never leak into the produced datasets.
+    /// each job touches only its own shard — which is why scheduling
+    /// can never leak into the produced datasets.
     ///
     /// # Errors
     ///
@@ -448,7 +750,7 @@ impl ShardedEngine {
     ///   [`CheckpointMismatch`](EngineError::CheckpointMismatch) —
     ///   checkpoint writes exhausted their bounded retries, or the
     ///   resume file is unreadable, corrupt, or disagrees with the
-    ///   replayed state.
+    ///   restored state.
     pub fn run(self) -> EngineResult<ShardedRun> {
         self.run_salvage().map_err(|failure| failure.error)
     }
@@ -456,18 +758,14 @@ impl ShardedEngine {
     /// Like [`run`](Self::run), but on failure hands back the whole
     /// [`RunFailure`] — the typed error, every shard that survived, and
     /// a degraded forensic [`RunReport`] — instead of just the error.
-    // The `expect`s below are claim-protocol invariants, not error
-    // handling: every build job claims its config index exactly once,
-    // and every slot a day-job locks was filled by the build phase
-    // (a failed build aborts before the day loop).
-    #[allow(clippy::expect_used)]
     pub fn run_salvage(self) -> Result<ShardedRun, Box<RunFailure>> {
-        let seed = self.base.seed;
-        let days = self.base.days;
-        let users32 = self.base.population.n_users as u32;
-        let n_shards = self.n_shards;
-        let executed = self.execute(RunMode::Full)?;
-        Ok(finish_run(executed, seed, days, users32, n_shards))
+        let restore = self.prepare(None).map_err(|e| self.salvage(e, Vec::new(), 0))?;
+        let start = Barrier::start(self.base.seed, self.n_shards as usize);
+        let (barrier, profiler, ops) = self.drive(start, |rt, barrier| {
+            rt.build_or_restore(barrier, restore.as_ref())?;
+            rt.advance(barrier, self.base.days, &self.faults, self.checkpoints.as_ref())
+        })?;
+        Ok(self.finish(barrier, profiler, ops))
     }
 
     /// Run the scenario through `day` complete days, then freeze the
@@ -480,608 +778,235 @@ impl ShardedEngine {
     /// seed and config reproduces the uninterrupted run's dataset
     /// byte-for-byte. The barrier state is also recorded as a
     /// [`Checkpoint`] ([`WorldSnapshot::checkpoint`]); every fork is
-    /// digest-verified against it before diverging.
+    /// digest-verified against it before diverging. With
+    /// [`resume_from`](Self::resume_from), the prefix up to the
+    /// recorded barrier is restored instead of simulated live.
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidConfig`] if `day` is not a mid-run barrier
-    /// (`1..days`), plus everything [`run`](Self::run) can return.
+    /// (`1..days`) or precedes a resumed barrier, plus everything
+    /// [`run`](Self::run) can return.
     pub fn snapshot_after(self, day: u64) -> EngineResult<WorldSnapshot> {
-        let fingerprint = self.config_fingerprint();
-        let mut executed =
-            self.execute(RunMode::SnapshotAfter(day)).map_err(|failure| failure.error)?;
-        let checkpoint = {
-            let refs: Vec<&mut Ecosystem> = executed.shards.iter_mut().collect();
-            barrier_checkpoint(
-                &refs,
-                self.base.seed,
-                self.n_shards,
-                self.base.days,
-                self.base.population.n_users as u64,
-                fingerprint,
-                day,
-                &executed.exchange_rng,
-                &executed.seen_incidents,
-                executed.market_trades,
-                executed.cross_shard_lures,
-                &executed.metrics,
-            )
-        };
-        Ok(WorldSnapshot {
-            base: self.base,
-            n_shards: self.n_shards,
-            contact_spillover: self.contact_spillover,
-            decoys: self.decoys,
-            shard_weights: self.shard_weights,
-            shards: executed.shards.into_iter().map(Arc::new).collect(),
-            seen_incidents: executed.seen_incidents,
-            market_trades: executed.market_trades,
-            cross_shard_lures: executed.cross_shard_lures,
-            decoy_probes: executed.metrics.counter_value(M_DECOY_PROBES).unwrap_or(0),
-            exchange_queue_peak: executed
-                .metrics
-                .gauge_value(M_EXCHANGE_QUEUE_PEAK)
-                .unwrap_or(0),
-            checkpoint,
-        })
+        let restore = self.prepare(Some(day))?;
+        let start = Barrier::start(self.base.seed, self.n_shards as usize);
+        let (barrier, _, _) = self
+            .drive(start, |rt, barrier| {
+                rt.build_or_restore(barrier, restore.as_ref())?;
+                rt.advance(barrier, day, &self.faults, self.checkpoints.as_ref())
+            })
+            .map_err(|failure| failure.error)?;
+        let checkpoint = barrier.record(&self);
+        Ok(WorldSnapshot { engine: self, barrier, checkpoint })
+    }
+}
+
+/// One run's mechanics while its worker pool is up: the pool every
+/// phase dispatches on, the wall-clock phase profile and the
+/// crash-safety ops registry. None of it is barrier state.
+struct Runtime<'a, 'pool> {
+    engine: &'a ShardedEngine,
+    pool: &'a WorkerPool<'pool>,
+    profiler: PhaseProfiler,
+    ops: Registry,
+}
+
+impl Runtime<'_, '_> {
+    /// Build every shard world into `barrier` (each worker steals
+    /// unbuilt shards by index), then schedule the engine's decoy
+    /// probes round-robin over the shards.
+    // The `expect` is a claim-protocol invariant, not error handling:
+    // every build job claims its config index exactly once.
+    #[allow(clippy::expect_used)]
+    fn build(&mut self, barrier: &mut Barrier) -> EngineResult<()> {
+        let engine = self.engine;
+        let k = engine.n_shards as usize;
+        let configs: Vec<Mutex<Option<ScenarioConfig>>> =
+            engine.shard_configs().into_iter().map(|c| Mutex::new(Some(c))).collect();
+        let built: Vec<Mutex<Option<Ecosystem>>> = (0..k).map(|_| Mutex::new(None)).collect();
+        let pool = self.pool;
+        let outcome = self.profiler.time("build", || {
+            pool.run(k, &|_worker, i| {
+                let config = configs[i].lock().take().expect("build job claimed once");
+                let shard = config.shard;
+                let _span = span!("engine.build_shard", shard);
+                *built[i].lock() = Some(Ecosystem::build(config));
+            })
+        });
+        self.profiler.set_build_workers(pool.take_worker_busy());
+        // Slot i is shard i; shards whose build never ran are absent.
+        barrier.shards =
+            built.into_iter().filter_map(|slot| slot.into_inner()).map(CachePadded::new).collect();
+        if let Err(p) = outcome {
+            self.ops.inc(M_PANICS_CAUGHT);
+            return Err(EngineError::ShardPanicked {
+                shard: p.index as u16,
+                day: 0,
+                payload: p.payload,
+            });
+        }
+
+        if let Some((total, over_days)) = engine.decoys {
+            let mut rng = SimRng::stream(engine.base.seed, "engine-decoys");
+            let horizon = over_days.min(engine.base.days.max(1));
+            for i in 0..total {
+                let shard = &mut barrier.shards[i % k];
+                let account = shard.add_decoy_account(&format!("decoy-probe-{i}"));
+                let crew_count = shard.crews.crews.len() as u64;
+                let crew = CrewId::from_index(rng.below(crew_count) as usize);
+                let at = SimTime::from_secs(rng.below(horizon) * DAY + rng.below(DAY));
+                shard.schedule_decoy_submission(at, account, crew);
+                barrier.metrics.inc(M_DECOY_PROBES);
+            }
+        }
+        Ok(())
     }
 
-    /// The shared execution core behind [`run_salvage`](Self::run_salvage)
-    /// (`RunMode::Full`), [`snapshot_after`](Self::snapshot_after)
-    /// (`RunMode::SnapshotAfter`) and forked continuations
-    /// (`RunMode::Forked`): build or install the shard worlds, then
-    /// drive the day loop from `first_day` to either `days` or the
-    /// snapshot barrier.
-    #[allow(clippy::expect_used)]
-    fn execute(&self, mode: RunMode) -> Result<Executed, Box<RunFailure>> {
-        let k = self.n_shards as usize;
-        let seed = self.base.seed;
-        let days = self.base.days;
-        let users32 = self.base.population.n_users as u32;
-        let first_day = match &mode {
-            RunMode::Forked(f) => f.start_day,
-            _ => 0,
-        };
-        let (stop_after, fork) = match mode {
-            RunMode::Full => (None, None),
-            RunMode::SnapshotAfter(p) => (Some(p), None),
-            RunMode::Forked(f) => (None, Some(*f)),
-        };
-
-        // ---- validation: reject bad plans before any thread spawns.
-        let fail_early = |error: EngineError| {
-            salvage(error, Vec::new(), 0, seed, self.n_shards, days, users32)
-        };
-        if let Some(policy) = &self.checkpoints {
-            if policy.every == 0 {
-                return Err(fail_early(EngineError::InvalidConfig {
-                    reason: "checkpoint interval must be at least 1 day (got 0)".to_string(),
-                }));
-            }
-            if let Err(e) = std::fs::create_dir_all(&policy.dir) {
-                return Err(fail_early(EngineError::CheckpointIo {
-                    op: CheckpointOp::Write,
-                    path: policy.dir.display().to_string(),
-                    detail: e.to_string(),
-                }));
-            }
+    /// Build the shard worlds and, when resuming, bring them to the
+    /// recorded barrier in place and prove they reached it.
+    fn build_or_restore(
+        &mut self,
+        barrier: &mut Barrier,
+        restore: Option<&Restore>,
+    ) -> EngineResult<()> {
+        self.build(barrier)?;
+        if let Some((record, path)) = restore {
+            // Days before the recorded barrier run exactly as the
+            // original run computed them: fault-free, checkpoint-free.
+            self.advance(barrier, record.completed_days, &FaultPlan::new(), None)?;
+            let engine = self.engine;
+            self.profiler.time("checkpoint", || barrier.verify(engine, record, path))?;
+            self.ops.inc(M_CHECKPOINTS_RESTORED);
         }
-        if let Err(e) = self.faults.validate(days, self.n_shards) {
-            return Err(fail_early(e));
-        }
-        if let Some(p) = stop_after {
-            if p == 0 || p >= days {
-                return Err(fail_early(EngineError::InvalidConfig {
-                    reason: format!(
-                        "snapshot day must be a mid-run barrier (1..{days}), got {p}"
-                    ),
-                }));
-            }
-        }
-        let fingerprint = self.config_fingerprint();
-        let resume: Option<(Checkpoint, String)> = match &self.resume {
-            None => None,
-            Some(path) => {
-                let ckpt = match Checkpoint::read(path) {
-                    Ok(c) => c,
-                    Err(e) => return Err(fail_early(e)),
-                };
-                let p = path.display().to_string();
-                let mismatch = |field: &str, expected: String, found: String| {
-                    EngineError::CheckpointMismatch {
-                        path: p.clone(),
-                        field: field.to_string(),
-                        expected,
-                        found,
-                    }
-                };
-                // The file must describe *this* scenario, at a barrier
-                // this run will actually cross.
-                let identity: [(&str, u64, u64); 5] = [
-                    ("seed", ckpt.seed, seed),
-                    ("n_shards", ckpt.n_shards as u64, self.n_shards as u64),
-                    ("days", ckpt.days, days),
-                    ("users", ckpt.users, self.base.population.n_users as u64),
-                    ("config_fingerprint", ckpt.config_fingerprint, fingerprint),
-                ];
-                for (field, recorded, ours) in identity {
-                    if recorded != ours {
-                        return Err(fail_early(mismatch(
-                            field,
-                            recorded.to_string(),
-                            ours.to_string(),
-                        )));
-                    }
-                }
-                if ckpt.completed_days == 0 || ckpt.completed_days >= days {
-                    return Err(fail_early(mismatch(
-                        "completed_days",
-                        format!("1..{days}"),
-                        ckpt.completed_days.to_string(),
-                    )));
-                }
-                if ckpt.shards.len() != k {
-                    return Err(fail_early(mismatch(
-                        "shards.len",
-                        k.to_string(),
-                        ckpt.shards.len().to_string(),
-                    )));
-                }
-                Some((ckpt, p))
-            }
-        };
+        Ok(())
+    }
 
-        let workers = self.workers.min(k).max(1);
-        // Never oversubscribe: shard days are CPU-bound, so threads
-        // beyond the hardware's parallelism only add context-switch and
-        // cache churn (half of the original inverse-scaling bug). The
-        // requested count is still what the profile reports — it is the
-        // scenario-independent knob — but the pool spawns at most one
-        // participant per hardware thread.
-        let threads = workers.min(default_workers());
-        let mut profiler = PhaseProfiler::new();
-        let metrics = Registry::new()
-            .with_counter(M_MARKET_TRADES)
-            .with_counter(M_CROSS_SHARD_LURES)
-            .with_counter(M_DECOY_PROBES)
-            .with_gauge(M_EXCHANGE_QUEUE_PEAK);
-        // Crash-safety mechanics live in their own registry, never
-        // merged into the sim-time snapshot: a resumed run's report
-        // must byte-equal an uninterrupted one.
-        let ops = Registry::new()
-            .with_counter(M_FAULTS_INJECTED)
-            .with_counter(M_PANICS_CAUGHT)
-            .with_counter(M_CHECKPOINTS_WRITTEN)
-            .with_counter(M_CHECKPOINTS_RESTORED)
-            .with_counter(M_CHECKPOINT_RETRIES);
-
-        // One padded slot per shard: the slot (and the hot head of the
-        // ecosystem inside it) starts on its own cache line, so two
-        // workers advancing neighbouring shards never false-share.
-        // Slot `i` always holds shard `i` — results need no sorting.
-        let slots: Vec<CachePadded<Mutex<Option<Ecosystem>>>> =
-            (0..k).map(|_| CachePadded::new(Mutex::new(None))).collect();
+    /// The day loop: advance `barrier` until `until` days are complete.
+    /// `faults` fire and `checkpoints` are written only on the days
+    /// advanced here.
+    fn advance(
+        &mut self,
+        barrier: &mut Barrier,
+        until: u64,
+        faults: &FaultPlan,
+        checkpoints: Option<&CheckpointPolicy>,
+    ) -> EngineResult<()> {
+        let engine = self.engine;
+        let k = barrier.shards.len();
         // Claim granularity: single jobs for small shard counts (max
         // balance), short runs for huge ones (less claim traffic).
-        let claim_chunk = (k / (workers * 8)).max(1);
-
-        let mut completed_days = first_day;
-        let start_day = resume.as_ref().map_or(0, |(ckpt, _)| ckpt.completed_days);
-        let (mut rng_exchange, mut seen_incidents, mut market_trades, mut cross_shard_lures);
-        let forked = fork.is_some();
-        match fork {
-            Some(f) => {
-                rng_exchange = f.exchange_rng;
-                seen_incidents = f.seen_incidents;
-                market_trades = f.market_trades;
-                cross_shard_lures = f.cross_shard_lures;
-                // Resume the engine registry at the snapshot's values so
-                // a same-config forked run's report byte-equals an
-                // uninterrupted run's.
-                metrics.add(M_MARKET_TRADES, f.market_trades);
-                metrics.add(M_CROSS_SHARD_LURES, f.cross_shard_lures);
-                metrics.add(M_DECOY_PROBES, f.decoy_probes);
-                metrics.gauge_max(M_EXCHANGE_QUEUE_PEAK, f.exchange_queue_peak);
-                for (slot, eco) in slots.iter().zip(f.shards) {
-                    *slot.lock() = Some(eco);
-                }
+        let claim_chunk = (k / (engine.worker_count() * 8)).max(1);
+        for day in barrier.completed_days..until {
+            // ---- parallel section: one day, shard-local state only.
+            // Workers steal shard-days from the claim index; any claim
+            // order yields the same logs because shards never touch
+            // each other mid-day.
+            let slots: Vec<Mutex<&mut Ecosystem>> =
+                barrier.shards.iter_mut().map(|e| Mutex::new(&mut **e)).collect();
+            let (pool, ops) = (self.pool, &self.ops);
+            let day_result = self.profiler.time("shard_day", || {
+                pool.run_chunked(k, claim_chunk, &|_worker, i| {
+                    // Injected faults fire before the shard's slot is
+                    // even locked: a panicking job never unwinds holding
+                    // shard state, and a slowdown only delays identical
+                    // work.
+                    if faults.should_panic(day, i as u16) {
+                        ops.inc(M_FAULTS_INJECTED);
+                        panic!("injected fault: shard {i} panicked on day {day}");
+                    }
+                    if let Some(ms) = faults.slowdown_ms(day, i as u16) {
+                        ops.inc(M_FAULTS_INJECTED);
+                        std::thread::sleep(Duration::from_millis(ms));
+                    }
+                    let mut eco = slots[i].lock();
+                    let shard = eco.config.shard;
+                    let _span = span!("engine.shard_day", shard);
+                    eco.run_day(day);
+                })
+            });
+            drop(slots);
+            if let Err(p) = day_result {
+                self.ops.inc(M_PANICS_CAUGHT);
+                return Err(EngineError::ShardPanicked {
+                    shard: p.index as u16,
+                    day,
+                    payload: p.payload,
+                });
             }
-            None => {
-                rng_exchange = SimRng::stream(self.base.seed, "exchange");
-                seen_incidents = vec![0usize; k];
-                market_trades = 0;
-                cross_shard_lures = 0;
+
+            // ---- day barrier: single-threaded exchange in shard
+            // order, on the coordinator.
+            self.profiler.time("barrier_exchange", || {
+                barrier.exchange(day, engine.contact_spillover, engine.base.days)
+            });
+            barrier.completed_days = day + 1;
+
+            if let Some(policy) = checkpoints {
+                let completed = barrier.completed_days;
+                if completed.is_multiple_of(policy.every) && completed < engine.base.days {
+                    self.write_checkpoint(barrier, policy, faults.checkpoint_failures_at(day))?;
+                }
             }
         }
-        let configs: Vec<Mutex<Option<ScenarioConfig>>> = if forked {
-            Vec::new()
-        } else {
-            self.shard_configs().into_iter().map(|c| Mutex::new(Some(c))).collect()
-        };
-
-        let run_result: EngineResult<()> = WorkerPool::scoped(threads, |pool| {
-            // A forked continuation's shards arrive pre-built (installed
-            // into the slots above) with their decoy schedule already in
-            // flight, so both the build and setup phases are skipped —
-            // that skip is exactly the fork speedup.
-            let n_crews = if forked {
-                slots[0].lock().as_ref().map_or(0, |e| e.crews.crews.len())
-            } else {
-                // ---- build: each worker steals unbuilt shards by index.
-                let built = profiler.time("build", || {
-                    pool.run(k, &|_worker, i| {
-                        let config = configs[i].lock().take().expect("build job claimed once");
-                        let shard = config.shard;
-                        let _span = span!("engine.build_shard", shard);
-                        *slots[i].lock() = Some(Ecosystem::build(config));
-                    })
-                });
-                profiler.set_build_workers(pool.take_worker_busy());
-                if let Err(p) = built {
-                    ops.inc(M_PANICS_CAUGHT);
-                    return Err(EngineError::ShardPanicked {
-                        shard: p.index as u16,
-                        day: 0,
-                        payload: p.payload,
-                    });
-                }
-
-                // ---- setup: decoy probes, round-robin over shards
-                // (single-threaded; helpers are parked, locks uncontended).
-                let mut guards: Vec<_> = slots.iter().map(|s| s.lock()).collect();
-                let mut shards: Vec<&mut Ecosystem> =
-                    guards.iter_mut().map(|g| g.as_mut().expect("shard built")).collect();
-                if let Some((total, over_days)) = self.decoys {
-                    let mut rng = SimRng::stream(self.base.seed, "engine-decoys");
-                    let horizon = over_days.min(self.base.days.max(1));
-                    for i in 0..total {
-                        let shard = i % k;
-                        let account =
-                            shards[shard].add_decoy_account(&format!("decoy-probe-{i}"));
-                        let crew_count = shards[shard].crews.crews.len() as u64;
-                        let crew = CrewId::from_index(rng.below(crew_count) as usize);
-                        let at = SimTime::from_secs(
-                            rng.below(horizon) * DAY + rng.below(DAY),
-                        );
-                        shards[shard].schedule_decoy_submission(at, account, crew);
-                        metrics.inc(M_DECOY_PROBES);
-                    }
-                }
-                shards.first().map_or(0, |e| e.crews.crews.len())
-            };
-
-            for day in first_day..self.base.days {
-                // Resume replays days before the recorded barrier
-                // exactly as the original run computed them — which
-                // means fault-free and checkpoint-free.
-                let replaying = day < start_day;
-
-                // ---- parallel section: one day, shard-local state
-                // only. Workers steal shard-days from the claim index;
-                // any claim order yields the same logs because shards
-                // never touch each other mid-day.
-                let day_result = profiler.time("shard_day", || {
-                    pool.run_chunked(k, claim_chunk, &|_worker, i| {
-                        if !replaying {
-                            // Injected faults fire before the shard's
-                            // slot is even locked: a panicking job
-                            // never unwinds holding shard state, and a
-                            // slowdown only delays identical work.
-                            if self.faults.should_panic(day, i as u16) {
-                                ops.inc(M_FAULTS_INJECTED);
-                                panic!("injected fault: shard {i} panicked on day {day}");
-                            }
-                            if let Some(ms) = self.faults.slowdown_ms(day, i as u16) {
-                                ops.inc(M_FAULTS_INJECTED);
-                                std::thread::sleep(Duration::from_millis(ms));
-                            }
-                        }
-                        let mut slot = slots[i].lock();
-                        let eco = slot.as_mut().expect("shard built");
-                        let shard = eco.config.shard;
-                        let _span = span!("engine.shard_day", shard);
-                        eco.run_day(day);
-                    })
-                });
-                if let Err(p) = day_result {
-                    ops.inc(M_PANICS_CAUGHT);
-                    return Err(EngineError::ShardPanicked {
-                        shard: p.index as u16,
-                        day,
-                        payload: p.payload,
-                    });
-                }
-
-                // ---- day barrier: single-threaded exchange in shard
-                // order, on the coordinator, over all slots at once.
-                let mut guards: Vec<_> = slots.iter().map(|s| s.lock()).collect();
-                let mut shards: Vec<&mut Ecosystem> =
-                    guards.iter_mut().map(|g| g.as_mut().expect("shard built")).collect();
-                profiler.time("barrier_exchange", || {
-                // Credential market. Buyers rotate over the global offer
-                // sequence, so the volume any shard sells shifts who buys
-                // everywhere else — shards are genuinely coupled — while
-                // exploitation stays in the victim's shard (the account
-                // lives there; crews are global).
-                let mut offer_seq = 0usize;
-                for shard in shards.iter_mut() {
-                    for (seller, credential) in shard.drain_market_outbox() {
-                        let buyer = if n_crews > 1 {
-                            CrewId::from_index(
-                                (seller.index() + 1 + offer_seq % (n_crews - 1)) % n_crews,
-                            )
-                        } else {
-                            seller
-                        };
-                        offer_seq += 1;
-                        if shard.import_market_credential(buyer, credential) {
-                            market_trades += 1;
-                            metrics.inc(M_MARKET_TRADES);
-                        }
-                    }
-                }
-                metrics.gauge_max(M_EXCHANGE_QUEUE_PEAK, offer_seq as u64);
-
-                // Contact-graph mail: new exploited incidents spill part of
-                // their phishing blast into other shards as next-day lures.
-                let spill = self.contact_spillover;
-                if k > 1 && spill > 0.0 && day + 1 < self.base.days {
-                    let next_day = SimTime::from_secs((day + 1) * DAY);
-                    let mut exports: Vec<(usize, SimTime, CrewId)> = Vec::new();
-                    for s in 0..k {
-                        let eco = &shards[s];
-                        for inc in &eco.incidents()[seen_incidents[s]..] {
-                            let session = &eco.sessions()[inc.session];
-                            if !session.exploited || session.phishing_messages == 0 {
-                                continue;
-                            }
-                            let n_out =
-                                (session.phishing_messages as f64 * spill).round() as u64;
-                            for _ in 0..n_out {
-                                let mut dest = rng_exchange.below(k as u64 - 1) as usize;
-                                if dest >= s {
-                                    dest += 1;
-                                }
-                                let at = next_day
-                                    .plus(SimDuration::from_secs(rng_exchange.below(DAY)));
-                                exports.push((dest, at, inc.crew));
-                            }
-                        }
-                        seen_incidents[s] = eco.incidents().len();
-                    }
-                    for (dest, at, crew) in exports {
-                        let n_users = shards[dest].population.len() as u64;
-                        if n_users == 0 {
-                            continue;
-                        }
-                        let target = shards[dest].population.users
-                            [rng_exchange.below(n_users) as usize]
-                            .account;
-                        shards[dest].queue_external_lure(at, target, crew);
-                        cross_shard_lures += 1;
-                        metrics.inc(M_CROSS_SHARD_LURES);
-                    }
-                } else {
-                    for s in 0..k {
-                        seen_incidents[s] = shards[s].incidents().len();
-                    }
-                }
-                });
-
-                let completed = day + 1;
-                completed_days = completed;
-
-                // ---- resume verification: at the recorded barrier the
-                // replayed state must reproduce the file exactly —
-                // digests, log lengths, RNG positions, counters.
-                if let Some((ckpt, path)) = &resume {
-                    if completed == ckpt.completed_days {
-                        let current = profiler.time("checkpoint", || {
-                            barrier_checkpoint(
-                                &shards,
-                                seed,
-                                self.n_shards,
-                                days,
-                                self.base.population.n_users as u64,
-                                fingerprint,
-                                completed,
-                                &rng_exchange,
-                                &seen_incidents,
-                                market_trades,
-                                cross_shard_lures,
-                                &metrics,
-                            )
-                        });
-                        verify_resume(path, ckpt, &current)?;
-                        ops.inc(M_CHECKPOINTS_RESTORED);
-                    }
-                }
-
-                // ---- checkpoint write: bounded-backoff retries absorb
-                // transient I/O failures; exhaustion aborts the run
-                // with the last error.
-                if let Some(policy) = &self.checkpoints {
-                    if !replaying && completed % policy.every == 0 && completed < days {
-                        let written: EngineResult<()> = profiler.time("checkpoint", || {
-                            let ckpt = barrier_checkpoint(
-                                &shards,
-                                seed,
-                                self.n_shards,
-                                days,
-                                self.base.population.n_users as u64,
-                                fingerprint,
-                                completed,
-                                &rng_exchange,
-                                &seen_incidents,
-                                market_trades,
-                                cross_shard_lures,
-                                &metrics,
-                            );
-                            let path = policy.dir.join(checkpoint::file_name(completed));
-                            let mut to_inject = self.faults.checkpoint_failures_at(day);
-                            let mut attempt = 0u32;
-                            let outcome = CHECKPOINT_RETRY.run_with(
-                                &mut || {
-                                    attempt += 1;
-                                    if to_inject > 0 {
-                                        to_inject -= 1;
-                                        ops.inc(M_FAULTS_INJECTED);
-                                        return Err(EngineError::CheckpointIo {
-                                            op: CheckpointOp::Write,
-                                            path: path.display().to_string(),
-                                            detail: format!(
-                                                "injected transient write failure \
-                                                 (attempt {attempt})"
-                                            ),
-                                        });
-                                    }
-                                    ckpt.write_atomic(&path)
-                                },
-                                |_| ops.inc(M_CHECKPOINT_RETRIES),
-                            );
-                            if outcome.is_ok() {
-                                ops.inc(M_CHECKPOINTS_WRITTEN);
-                            }
-                            outcome
-                        });
-                        written?;
-                    }
-                }
-
-                // ---- snapshot stop: freeze the world at this barrier;
-                // the caller packages the slots as a [`WorldSnapshot`].
-                if stop_after == Some(completed) {
-                    break;
-                }
-            }
-            Ok(())
-        });
-
-        // All helpers have parked and joined; unwrap whatever shards
-        // exist (slot i is shard i, so the order is already right — and
-        // on a clean run every slot is occupied).
-        let shards: Vec<Ecosystem> = slots
-            .into_iter()
-            .filter_map(|slot| slot.into_inner().into_inner())
-            .collect();
-
-        if let Err(error) = run_result {
-            return Err(salvage(
-                error,
-                shards,
-                completed_days,
-                seed,
-                self.n_shards,
-                days,
-                users32,
-            ));
-        }
-
-        Ok(Executed {
-            shards,
-            market_trades,
-            cross_shard_lures,
-            seen_incidents,
-            exchange_rng: rng_exchange,
-            workers,
-            metrics,
-            ops,
-            profiler,
-        })
+        Ok(())
     }
-}
 
-/// How [`ShardedEngine::execute`] drives the day loop.
-enum RunMode {
-    /// Build every shard and run all days (the normal path).
-    Full,
-    /// Build every shard, run through this many complete days, then
-    /// stop at the barrier so the caller can freeze a [`WorldSnapshot`].
-    SnapshotAfter(u64),
-    /// Install pre-built shard worlds and continue from a snapshot
-    /// barrier — no build phase, no replay.
-    Forked(Box<ForkState>),
-}
-
-/// The state a forked continuation resumes from: deep-cloned shard
-/// worlds plus the engine-level barrier state captured in the snapshot.
-struct ForkState {
-    shards: Vec<Ecosystem>,
-    start_day: u64,
-    exchange_rng: SimRng,
-    seen_incidents: Vec<usize>,
-    market_trades: u64,
-    cross_shard_lures: u64,
-    decoy_probes: u64,
-    exchange_queue_peak: u64,
-}
-
-/// What [`ShardedEngine::execute`] hands back: everything a
-/// [`ShardedRun`] needs, plus the barrier state a snapshot captures.
-struct Executed {
-    shards: Vec<Ecosystem>,
-    market_trades: u64,
-    cross_shard_lures: u64,
-    seen_incidents: Vec<usize>,
-    exchange_rng: SimRng,
-    workers: usize,
-    metrics: Registry,
-    ops: Registry,
-    profiler: PhaseProfiler,
-}
-
-/// Package an [`Executed`] core result as the public [`ShardedRun`],
-/// timing a representative merge of the three event logs so the profile
-/// reflects end-to-end cost (the merged views are cheap borrows and are
-/// rebuilt on demand by the accessors).
-fn finish_run(mut executed: Executed, seed: u64, days: u64, users: u32, n_shards: u16) -> ShardedRun {
-    let shards = &executed.shards;
-    executed.profiler.time("log_merge", || {
-        let _ = LogStore::merge(shards.iter().map(|e| e.login_log.store()));
-        let _ = LogStore::merge(shards.iter().map(|e| e.provider.log_store()));
-        let _ = LogStore::merge(shards.iter().map(|e| e.notifications.log_store()));
-    });
-    ShardedRun {
-        shards: executed.shards,
-        market_trades: executed.market_trades,
-        cross_shard_lures: executed.cross_shard_lures,
-        seed,
-        days,
-        users,
-        n_shards,
-        workers: executed.workers,
-        metrics: executed.metrics,
-        ops: executed.ops,
-        profiler: executed.profiler,
+    /// Write `barrier` as a checkpoint file. Bounded-backoff retries
+    /// absorb transient I/O failures (the first `to_inject` attempts
+    /// fail on purpose); exhaustion aborts the run with the last error.
+    fn write_checkpoint(
+        &mut self,
+        barrier: &Barrier,
+        policy: &CheckpointPolicy,
+        mut to_inject: u32,
+    ) -> EngineResult<()> {
+        let (engine, ops) = (self.engine, &self.ops);
+        self.profiler.time("checkpoint", || {
+            let ckpt = barrier.record(engine);
+            let path = policy.dir.join(checkpoint::file_name(barrier.completed_days));
+            let mut attempt = 0u32;
+            let outcome = CHECKPOINT_RETRY.run_with(
+                &mut || {
+                    attempt += 1;
+                    if to_inject > 0 {
+                        to_inject -= 1;
+                        ops.inc(M_FAULTS_INJECTED);
+                        return Err(EngineError::CheckpointIo {
+                            op: CheckpointOp::Write,
+                            path: path.display().to_string(),
+                            detail: format!("injected transient write failure (attempt {attempt})"),
+                        });
+                    }
+                    ckpt.write_atomic(&path)
+                },
+                |_| ops.inc(M_CHECKPOINT_RETRIES),
+            );
+            if outcome.is_ok() {
+                ops.inc(M_CHECKPOINTS_WRITTEN);
+            }
+            outcome
+        })
     }
 }
 
 /// A frozen, copy-on-write world at a day barrier — the expensive
 /// common prefix of a sweep, built once and forked N times.
 ///
-/// Produced by [`ShardedEngine::snapshot_after`]. The per-shard worlds
-/// live behind `Arc`, and each [`Ecosystem`]'s structural state (geo
-/// plan, domain model, population + contact graph) is itself
-/// `Arc`-shared, so forking copies only the dynamic simulation state
-/// (logs, stores, per-user columns, RNG streams) — O(changed-state),
-/// not O(world). The snapshot also records the barrier as a
-/// [`Checkpoint`]; [`ForkBuilder::run`] re-derives the clone's barrier
-/// state and digest-verifies it against that record before diverging,
-/// so a corrupted or stale snapshot fails loudly with
+/// Produced by [`ShardedEngine::snapshot_after`]. Each [`Ecosystem`]'s
+/// structural state (geo plan, domain model, population + contact
+/// graph) is `Arc`-shared, so forking copies only the dynamic
+/// simulation state (logs, stores, per-user columns, RNG streams) —
+/// O(changed-state), not O(world). The snapshot also records the
+/// barrier as a [`Checkpoint`]; [`ForkBuilder::run`] verifies its
+/// clone of the barrier against that record before diverging, so a
+/// corrupted or stale snapshot fails loudly with
 /// [`EngineError::CheckpointMismatch`] naming the first divergent
-/// field (the PR 4 resume taxonomy, reused verbatim).
+/// field — the same verifier [`ShardedEngine::resume_from`] uses.
 pub struct WorldSnapshot {
-    base: ScenarioConfig,
-    n_shards: u16,
-    contact_spillover: f64,
-    decoys: Option<(usize, u64)>,
-    shard_weights: Option<Vec<u64>>,
-    shards: Vec<Arc<Ecosystem>>,
-    seen_incidents: Vec<usize>,
-    market_trades: u64,
-    cross_shard_lures: u64,
-    decoy_probes: u64,
-    exchange_queue_peak: u64,
+    /// The engine that ran the prefix (its configuration is what forks
+    /// inherit and records are identity-checked against).
+    engine: ShardedEngine,
+    barrier: Barrier,
     checkpoint: Checkpoint,
 }
 
@@ -1089,12 +1014,12 @@ impl std::fmt::Debug for WorldSnapshot {
     /// Compact summary (the shard worlds are megabytes of state).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorldSnapshot")
-            .field("seed", &self.base.seed)
-            .field("n_shards", &self.n_shards)
-            .field("days", &self.base.days)
-            .field("completed_days", &self.checkpoint.completed_days)
-            .field("market_trades", &self.market_trades)
-            .field("cross_shard_lures", &self.cross_shard_lures)
+            .field("seed", &self.seed())
+            .field("n_shards", &self.n_shards())
+            .field("days", &self.days())
+            .field("completed_days", &self.completed_days())
+            .field("market_trades", &self.barrier.market_trades())
+            .field("cross_shard_lures", &self.barrier.cross_shard_lures())
             .finish_non_exhaustive()
     }
 }
@@ -1102,41 +1027,41 @@ impl std::fmt::Debug for WorldSnapshot {
 impl WorldSnapshot {
     /// The master seed the prefix was built with.
     pub fn seed(&self) -> u64 {
-        self.base.seed
+        self.engine.base.seed
     }
 
     /// Total days of the scenario the snapshot belongs to.
     pub fn days(&self) -> u64 {
-        self.base.days
+        self.engine.base.days
     }
 
     /// Complete days simulated before the world was frozen.
     pub fn completed_days(&self) -> u64 {
-        self.checkpoint.completed_days
+        self.barrier.completed_days
     }
 
     /// Shard count of the frozen world.
     pub fn n_shards(&self) -> u16 {
-        self.n_shards
+        self.engine.n_shards
     }
 
     /// The scenario configuration the prefix was built with.
     pub fn config(&self) -> &ScenarioConfig {
-        &self.base
+        &self.engine.base
     }
 
     /// The recorded barrier state at the fork point. Every fork is
     /// verified against this record; it can also be written to disk
-    /// ([`WorldSnapshot::write_record`]) so a later process can rebuild
-    /// the prefix and prove it reached the identical barrier.
+    /// ([`WorldSnapshot::write_record`]) so a later process can restore
+    /// the run at this barrier ([`ShardedEngine::resume_from`]).
     pub fn checkpoint(&self) -> &Checkpoint {
         &self.checkpoint
     }
 
-    /// Write the fork-point record to `path` in the PR 4 checkpoint
-    /// format (atomic tmp-file + rename), absorbing transient I/O
-    /// failures with the same bounded-backoff retry policy the engine
-    /// applies to day-barrier checkpoints.
+    /// Write the fork-point record to `path` in the checkpoint format
+    /// (atomic tmp-file + rename), absorbing transient I/O failures
+    /// with the same bounded-backoff retry policy the engine applies to
+    /// day-barrier checkpoints.
     ///
     /// # Errors
     ///
@@ -1147,34 +1072,17 @@ impl WorldSnapshot {
     }
 
     /// Verify that `recorded` (a fork-point record read back from
-    /// `path`) describes exactly this snapshot's barrier — identity
-    /// fields first, then the digest comparison the resume path uses.
+    /// `path`) describes exactly this snapshot's barrier — the record
+    /// identity check first, then the barrier comparison, both shared
+    /// with the resume path.
     ///
     /// # Errors
     ///
     /// [`EngineError::CheckpointMismatch`] naming the first divergent
     /// field.
     pub fn verify_record(&self, recorded: &Checkpoint, path: &str) -> EngineResult<()> {
-        let ours = &self.checkpoint;
-        let identity: [(&str, u64, u64); 6] = [
-            ("seed", recorded.seed, ours.seed),
-            ("n_shards", recorded.n_shards as u64, ours.n_shards as u64),
-            ("days", recorded.days, ours.days),
-            ("users", recorded.users, ours.users),
-            ("config_fingerprint", recorded.config_fingerprint, ours.config_fingerprint),
-            ("completed_days", recorded.completed_days, ours.completed_days),
-        ];
-        for (field, rec, cur) in identity {
-            if rec != cur {
-                return Err(EngineError::CheckpointMismatch {
-                    path: path.to_string(),
-                    field: field.to_string(),
-                    expected: rec.to_string(),
-                    found: cur.to_string(),
-                });
-            }
-        }
-        verify_resume(path, recorded, ours)
+        self.engine.check_identity(recorded, path)?;
+        compare_barrier(path, recorded, &self.checkpoint)
     }
 
     /// Start a forked continuation of this world. The defaults
@@ -1198,10 +1106,10 @@ impl WorldSnapshot {
 /// [`ScenarioBuilder::fork_from`](crate::ScenarioBuilder::fork_from)).
 ///
 /// Defaults reproduce the uninterrupted run byte-for-byte; each setter
-/// diverges one axis. [`run`](Self::run) deep-clones the snapshot's
-/// shards (cheap: structural state is `Arc`-shared), digest-verifies
-/// the clones against the snapshot's fork-point [`Checkpoint`], applies
-/// the divergence, and resumes the day loop at the barrier — no
+/// diverges one axis. [`run`](Self::run) clones the snapshot's barrier
+/// (cheap: structural state is `Arc`-shared), verifies the clone
+/// against the snapshot's fork-point [`Checkpoint`], applies the
+/// divergence, and advances the day loop from the barrier — no
 /// rebuild, no replay.
 pub struct ForkBuilder<'a> {
     snapshot: &'a WorldSnapshot,
@@ -1209,7 +1117,7 @@ pub struct ForkBuilder<'a> {
     defense: Option<DefenseConfig>,
     recovery: Option<RecoveryConfig>,
     faults: FaultPlan,
-    checkpoints: Option<(PathBuf, u64)>,
+    checkpoints: Option<CheckpointPolicy>,
     workers: Option<usize>,
 }
 
@@ -1250,9 +1158,12 @@ impl<'a> ForkBuilder<'a> {
         self
     }
 
-    /// Checkpoint the continuation every `every` days into `dir`.
+    /// Checkpoint the continuation every `every` days into `dir`. Only
+    /// a fork that keeps the snapshot's configuration may checkpoint:
+    /// resuming a checkpoint re-runs the whole prefix under the
+    /// recorded configuration, which a diverged fork never ran.
     pub fn checkpoint_to(mut self, dir: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoints = Some((dir.into(), every));
+        self.checkpoints = Some(CheckpointPolicy { dir: dir.into(), every });
         self
     }
 
@@ -1268,111 +1179,78 @@ impl<'a> ForkBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// * [`EngineError::CheckpointMismatch`] — the deep-cloned shards
-    ///   do not reproduce the snapshot's recorded barrier state (a
-    ///   corrupted snapshot or a clone bug), naming the first
-    ///   divergent field;
+    /// * [`EngineError::InvalidConfig`] — checkpoints were requested
+    ///   for a fork whose configuration diverges from the snapshot's
+    ///   (rejected before anything is cloned or written);
+    /// * [`EngineError::CheckpointMismatch`] — the cloned barrier does
+    ///   not reproduce the snapshot's recorded one (a corrupted
+    ///   snapshot or a clone bug), naming the first divergent field;
     /// * everything [`ShardedEngine::run`] can return.
     pub fn run(self) -> EngineResult<ShardedRun> {
         let snap = self.snapshot;
-
-        // Deep-clone the shard worlds. Structural state (population,
-        // contact graph, geo, domains) is shared via `Arc`; only the
-        // dynamic state is copied.
-        let mut shards: Vec<Ecosystem> = snap.shards.iter().map(|a| (**a).clone()).collect();
-
-        // Digest-verify the fork point: the clones must reproduce the
-        // snapshot's recorded barrier exactly before any divergence is
-        // applied.
-        {
-            let metrics = Registry::new()
-                .with_counter(M_MARKET_TRADES)
-                .with_counter(M_CROSS_SHARD_LURES)
-                .with_counter(M_DECOY_PROBES)
-                .with_gauge(M_EXCHANGE_QUEUE_PEAK);
-            metrics.add(M_MARKET_TRADES, snap.market_trades);
-            metrics.add(M_CROSS_SHARD_LURES, snap.cross_shard_lures);
-            metrics.add(M_DECOY_PROBES, snap.decoy_probes);
-            metrics.gauge_max(M_EXCHANGE_QUEUE_PEAK, snap.exchange_queue_peak);
-            let refs: Vec<&mut Ecosystem> = shards.iter_mut().collect();
-            let current = barrier_checkpoint(
-                &refs,
-                snap.checkpoint.seed,
-                snap.n_shards,
-                snap.checkpoint.days,
-                snap.checkpoint.users,
-                snap.checkpoint.config_fingerprint,
-                snap.checkpoint.completed_days,
-                &SimRng::from_state(snap.checkpoint.exchange_rng),
-                &snap.seen_incidents,
-                snap.market_trades,
-                snap.cross_shard_lures,
-                &metrics,
-            );
-            verify_resume("<fork>", &snap.checkpoint, &current)?;
-        }
-
-        // Apply the divergence.
-        let mut base = snap.base.clone();
-        let mut exchange = SimRng::from_state(snap.checkpoint.exchange_rng);
+        let mut base = snap.engine.base.clone();
         if let Some(defense) = self.defense {
             base.defense = defense;
-            for eco in &mut shards {
-                eco.set_defense(defense);
-            }
         }
         if let Some(recovery) = self.recovery {
             base.recovery = recovery;
-            for eco in &mut shards {
+        }
+        let reseed = self.seed.filter(|seed| *seed != base.seed);
+        if let Some(seed) = reseed {
+            base.seed = seed;
+        }
+        let engine = ShardedEngine {
+            base,
+            n_shards: snap.engine.n_shards,
+            workers: self.workers.unwrap_or_else(default_workers),
+            contact_spillover: snap.engine.contact_spillover,
+            decoys: snap.engine.decoys,
+            shard_weights: snap.engine.shard_weights.clone(),
+            checkpoints: self.checkpoints,
+            resume: None,
+            faults: self.faults,
+        };
+        if engine.checkpoints.is_some()
+            && engine.config_fingerprint() != snap.checkpoint.config_fingerprint
+        {
+            return Err(EngineError::InvalidConfig {
+                reason: "a fork that diverges from its snapshot's configuration cannot write \
+                         checkpoints: resuming one would re-run the prefix under a \
+                         configuration it never ran with"
+                    .to_string(),
+            });
+        }
+        engine.prepare(None)?;
+
+        // Clone the barrier (structural state is `Arc`-shared; only the
+        // dynamic state is copied) and prove the clone is the recorded
+        // fork point before any divergence is applied.
+        let mut barrier = snap.barrier.clone();
+        barrier.verify(&snap.engine, &snap.checkpoint, "<fork>")?;
+
+        for eco in barrier.shards.iter_mut() {
+            if let Some(defense) = self.defense {
+                eco.set_defense(defense);
+            }
+            if let Some(recovery) = self.recovery {
                 eco.set_recovery(recovery);
             }
-        }
-        if let Some(seed) = self.seed {
-            if seed != snap.base.seed {
-                base.seed = seed;
-                for eco in &mut shards {
-                    let shard = u64::from(eco.config.shard);
-                    eco.config.seed = seed;
-                    eco.perturb_rngs(seed ^ (shard + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                }
-                exchange.perturb(seed);
+            if let Some(seed) = reseed {
+                let shard = u64::from(eco.config.shard);
+                eco.config.seed = seed;
+                eco.perturb_rngs(seed ^ (shard + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
             }
         }
+        if let Some(seed) = reseed {
+            barrier.exchange_rng.perturb(seed);
+        }
 
-        // Resume the day loop at the barrier.
-        let mut engine = ShardedEngine::new(base, snap.n_shards)
-            .contact_spillover(snap.contact_spillover)
-            .fault_plan(self.faults);
-        if let Some(w) = self.workers {
-            engine = engine.workers(w);
-        }
-        if let Some(weights) = snap.shard_weights.clone() {
-            engine = engine.shard_weights(weights);
-        }
-        if let Some((total, over_days)) = snap.decoys {
-            engine = engine.decoys(total, over_days);
-        }
-        if let Some((dir, every)) = self.checkpoints {
-            engine = engine.checkpoint_to(dir, every);
-        }
-        let seed = engine.base.seed;
-        let days = engine.base.days;
-        let users32 = engine.base.population.n_users as u32;
-        let n_shards = engine.n_shards;
-        let state = ForkState {
-            shards,
-            start_day: snap.checkpoint.completed_days,
-            exchange_rng: exchange,
-            seen_incidents: snap.seen_incidents.clone(),
-            market_trades: snap.market_trades,
-            cross_shard_lures: snap.cross_shard_lures,
-            decoy_probes: snap.decoy_probes,
-            exchange_queue_peak: snap.exchange_queue_peak,
-        };
-        let executed = engine
-            .execute(RunMode::Forked(Box::new(state)))
+        let (barrier, profiler, ops) = engine
+            .drive(barrier, |rt, barrier| {
+                rt.advance(barrier, engine.base.days, &engine.faults, engine.checkpoints.as_ref())
+            })
             .map_err(|failure| failure.error)?;
-        Ok(finish_run(executed, seed, days, users32, n_shards))
+        Ok(engine.finish(barrier, profiler, ops))
     }
 }
 

@@ -7,7 +7,9 @@
 //! that diverges (seed or defense config) must produce a different
 //! dataset, and the divergence must itself be deterministic.
 
-use mhw_core::{DefenseConfig, ScenarioBuilder, ScenarioConfig, ShardedEngine, WorldSnapshot};
+use mhw_core::{
+    DefenseConfig, RecoveryConfig, ScenarioBuilder, ScenarioConfig, ShardedEngine, WorldSnapshot,
+};
 use mhw_types::EngineError;
 
 /// A small sharded scenario with every cross-shard mechanism active:
@@ -120,6 +122,50 @@ fn fork_verification_names_first_divergent_field() {
     }
     // The genuine record verifies.
     snap.verify_record(&snap.checkpoint().clone(), "<test>").expect("genuine record rejected");
+}
+
+#[test]
+fn fork_verification_rejects_a_record_missing_a_shard_entry() {
+    let snap = snapshot(46, 4);
+    let mut short = snap.checkpoint().clone();
+    short.shards.pop();
+    let err = snap.verify_record(&short, "<test>").expect_err("short record accepted");
+    match err {
+        EngineError::CheckpointMismatch { field, .. } => assert_eq!(field, "shards.len"),
+        other => panic!("expected CheckpointMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn only_a_same_config_fork_writes_resumable_checkpoints() {
+    let snap = snapshot(49, 4);
+    let dir = std::env::temp_dir().join(format!("mhw-fork-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A diverged fork never ran days 0..4 under its own config, so a
+    // checkpoint it wrote could not be resumed: it is refused up front.
+    let diverged = [
+        snap.fork().seed(0xD1CE),
+        snap.fork().defense(DefenseConfig::none()),
+        snap.fork().recovery(RecoveryConfig::strict()),
+    ];
+    for fork in diverged {
+        let err = fork.workers(1).checkpoint_to(&dir, 2).run().expect_err("diverged fork");
+        assert!(matches!(err, EngineError::InvalidConfig { .. }), "got {err:?}");
+    }
+    assert!(!dir.exists(), "a refused fork wrote into its checkpoint dir");
+
+    // A same-config fork's checkpoint resumes to the uninterrupted run.
+    let full = engine(49).run().expect("uninterrupted run").dataset_digest();
+    let forked =
+        snap.fork().seed(snap.seed()).workers(1).checkpoint_to(&dir, 2).run().expect("fork");
+    assert_eq!(forked.dataset_digest(), full);
+    let resumed = engine(49)
+        .resume_from(dir.join("ckpt-day00006.mhw"))
+        .run()
+        .expect("resume from the fork's checkpoint");
+    assert_eq!(resumed.dataset_digest(), full);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,8 +5,7 @@
 //! repro [--quick] [--seed N] [--workers N] [--out EXPERIMENTS.md]
 //!       [--report run-report.json]
 //!       [--validate] [--fidelity-out FIDELITY.json] [--scorecard FIDELITY.md]
-//!       [--checkpoint-dir DIR] [--checkpoint-every N]
-//!       [--resume FILE] [--fault-plan SPEC]
+//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--fault-plan SPEC]
 //!       [--snapshot-at DAY --snapshot-out FILE]
 //!       [--fork-from FILE] [--fork-seed N]
 //! ```
@@ -26,36 +25,35 @@
 //! `--scorecard` (markdown, default `FIDELITY.md`). The process exits 1
 //! when any target FAILs, so CI can gate on it directly.
 //!
-//! The crash-safety flags apply to the main 2012-era run:
-//! `--checkpoint-dir DIR` writes day-barrier checkpoints there (every
-//! `--checkpoint-every` days, default 1), `--resume FILE` restarts from
-//! a checkpoint file, and `--fault-plan SPEC` injects deterministic
-//! faults (see `docs/REPRODUCING.md`). Exit status: 0 on success, 2 on
-//! a usage error, 1 on any runtime failure.
-//!
-//! The world-forking flags also apply to the main 2012-era run:
-//! `--snapshot-at DAY --snapshot-out FILE` records the fork point after
-//! `DAY` complete days (the battery still runs to completion —
-//! finishing via a same-seed fork is byte-identical to never
-//! snapshotting); `--fork-from FILE` rebuilds the recorded prefix,
-//! digest-verifies the fork point against the record, and runs the main
-//! world as a continuation, diverging its RNG from the fork point
-//! onward when `--fork-seed N` is given. Both are mutually exclusive
-//! with the crash-safety flags — they drive the same engine slot.
+//! The crash-safety and restore flags apply to the main 2012-era run
+//! and compose freely (see `docs/REPRODUCING.md`): `--checkpoint-dir
+//! DIR` writes day-barrier checkpoints there (every
+//! `--checkpoint-every` days, default 1) and `--fault-plan SPEC`
+//! injects deterministic faults. `--fork-from FILE` restores the run at
+//! the day barrier recorded in a checkpoint or fork-point record: the
+//! record's identity is checked before anything is built, the prefix
+//! is re-simulated fault-free and digest-verified against the record,
+//! and the run continues under its own checkpoints and faults.
+//! `--fork-seed N` diverges the restored run's RNG from the barrier
+//! onward (a diverged run cannot write resumable checkpoints, so it
+//! cannot be combined with `--checkpoint-dir`). `--snapshot-at DAY
+//! --snapshot-out FILE` records the fork point after `DAY` complete
+//! days; the battery still runs to completion — finishing via a
+//! same-seed fork is byte-identical to never snapshotting. Exit status:
+//! 0 on success, 2 on a usage error, 1 on any runtime failure.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use mhw_core::{FaultPlan, ScenarioConfig};
-use mhw_experiments::cli::{self, Failure, UsageError};
+use mhw_core::ScenarioConfig;
+use mhw_experiments::cli::{self, Failure};
 use mhw_experiments::context::EngineOptions;
 use mhw_experiments::{all_experiments, Context, Scale};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const USAGE: &str = "usage: repro [--quick] [--seed N] [--workers N] [--out FILE] [--report FILE]\n\
      \x20            [--validate] [--fidelity-out FILE] [--scorecard FILE]\n\
-     \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume FILE]\n\
-     \x20            [--fault-plan SPEC] [--snapshot-at DAY --snapshot-out FILE]\n\
+     \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--fault-plan SPEC]\n\
+     \x20            [--snapshot-at DAY --snapshot-out FILE]\n\
      \x20            [--fork-from FILE] [--fork-seed N]";
 
 fn main() {
@@ -77,60 +75,13 @@ fn run(args: &[String]) -> Result<(), Failure> {
         cli::value::<usize>(args, "--workers")?.unwrap_or_else(mhw_core::default_workers);
     let scale = if quick { Scale::Quick } else { Scale::Full };
 
-    let checkpoint_dir = cli::value::<PathBuf>(args, "--checkpoint-dir")?;
-    let checkpoint_every = cli::value::<u64>(args, "--checkpoint-every")?;
-    if checkpoint_every.is_some() && checkpoint_dir.is_none() {
-        return Err(Failure::Usage(UsageError(
-            "--checkpoint-every requires --checkpoint-dir".to_string(),
-        )));
-    }
-    let resume = cli::value::<PathBuf>(args, "--resume")?;
-    let fault_spec = cli::value::<String>(args, "--fault-plan")?;
-    // The plan is validated against the main run's geometry: one
+    // The crash-safety and restore flags drive the main run: one
     // logical shard, the scale's configured day count.
     let main_days = match scale {
         Scale::Quick => ScenarioConfig::small_test(seed).days,
         Scale::Full => ScenarioConfig::measurement(seed).days,
     };
-    let faults = match &fault_spec {
-        None => None,
-        Some(spec) => Some(FaultPlan::parse_spec(spec, seed, main_days, 1).map_err(|e| {
-            UsageError(format!("invalid value for --fault-plan: {e}"))
-        })?),
-    };
-    let snapshot_at = cli::value::<u64>(args, "--snapshot-at")?;
-    let snapshot_out = cli::value::<PathBuf>(args, "--snapshot-out")?;
-    if snapshot_at.is_some() != snapshot_out.is_some() {
-        return Err(Failure::Usage(UsageError(
-            "--snapshot-at and --snapshot-out must be given together".to_string(),
-        )));
-    }
-    let fork_from = cli::value::<PathBuf>(args, "--fork-from")?;
-    let fork_seed = cli::value::<u64>(args, "--fork-seed")?;
-    if fork_seed.is_some() && fork_from.is_none() {
-        return Err(Failure::Usage(UsageError("--fork-seed requires --fork-from".to_string())));
-    }
-    let forking = snapshot_out.is_some() || fork_from.is_some();
-    if snapshot_out.is_some() && fork_from.is_some() {
-        return Err(Failure::Usage(UsageError(
-            "--snapshot-out and --fork-from cannot be combined".to_string(),
-        )));
-    }
-    if forking && (checkpoint_dir.is_some() || resume.is_some() || faults.is_some()) {
-        return Err(Failure::Usage(UsageError(
-            "the forking flags and the crash-safety flags drive the same engine slot; \
-             use one mechanism per run"
-                .to_string(),
-        )));
-    }
-    let opts = EngineOptions {
-        checkpoint: checkpoint_dir.map(|dir| (dir, checkpoint_every.unwrap_or(1))),
-        resume,
-        faults,
-        snapshot: snapshot_at.zip(snapshot_out),
-        fork_from,
-        fork_seed,
-    };
+    let opts = EngineOptions::from_args(args, seed, main_days, 1)?;
 
     eprintln!("building context (scale {scale:?}, seed {seed:#x}, {workers} workers) …");
     let start = std::time::Instant::now();

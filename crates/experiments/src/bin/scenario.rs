@@ -9,8 +9,7 @@
 //!          [--lures F] [--no-defense] [--no-classifier] [--no-monitor]
 //!          [--no-challenge] [--twofactor F] [--report run-report.json]
 //!          [--validate] [--fidelity-out FIDELITY.json]
-//!          [--checkpoint-dir DIR] [--checkpoint-every N]
-//!          [--resume FILE] [--fault-plan SPEC]
+//!          [--checkpoint-dir DIR] [--checkpoint-every N] [--fault-plan SPEC]
 //!          [--snapshot-at DAY --snapshot-out FILE]
 //!          [--fork-from FILE] [--fork-seed N]
 //! ```
@@ -28,29 +27,33 @@
 //! `--fidelity-out` when given. Only single-world runs can be scored;
 //! combining `--validate` with `--shards` > 1 is a usage error.
 //!
-//! The crash-safety flags (`--checkpoint-dir`, `--checkpoint-every`,
-//! `--resume`, `--fault-plan`; see `docs/REPRODUCING.md`) force the
-//! engine path even at `--shards 1`. Flag values that fail to parse are
-//! fatal usage errors (exit 2); runtime failures exit 1.
-//!
-//! The world-forking flags (see `docs/REPRODUCING.md`): `--snapshot-at
+//! The crash-safety and restore flags (see `docs/REPRODUCING.md`)
+//! force the engine path even at `--shards 1` and compose freely:
+//! `--checkpoint-dir DIR` / `--checkpoint-every N` write day-barrier
+//! checkpoints and `--fault-plan SPEC` injects deterministic faults.
+//! `--fork-from FILE` restores the run at the day barrier recorded in a
+//! checkpoint or fork-point record (the scenario flags must describe
+//! the original run: the record's identity is checked before anything
+//! is built, and the re-simulated prefix is digest-verified against it
+//! — any drift is a fatal `CheckpointMismatch` naming the first
+//! divergent field), then finishes the run under its own checkpoints
+//! and faults. `--fork-seed N` diverges the restored run's RNG from the
+//! barrier onward; it cannot be combined with `--checkpoint-dir`, since
+//! a diverged run's checkpoints could never be resumed. `--snapshot-at
 //! DAY --snapshot-out FILE` runs the scenario through `DAY` complete
-//! days and freezes the fork point as a verification record instead of
-//! finishing the run. `--fork-from FILE` replays the recorded prefix
-//! (the scenario flags must describe the original run — the rebuilt
-//! fork point is digest-verified against the record, and any drift is
-//! a fatal `CheckpointMismatch` naming the first divergent field),
-//! then runs a continuation; `--fork-seed N` diverges the
-//! continuation's RNG from the fork point onward.
+//! days, writes the fork-point record and stops (unlike `repro`, which
+//! finishes the run). Flag values that fail to parse and impossible
+//! flag combinations are fatal usage errors (exit 2); runtime failures
+//! exit 1.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use mhw_adversary::Era;
 use mhw_analysis::{bar_chart, Breakdown, Ecdf};
-use mhw_core::{Ecosystem, FaultPlan, ScenarioConfig, ShardedRun};
+use mhw_core::{Ecosystem, ScenarioBuilder, ScenarioConfig, ShardedRun};
 use mhw_experiments::cli::{self, Failure, UsageError};
+use mhw_experiments::context::EngineOptions;
 use mhw_types::Actor;
-use std::path::PathBuf;
 
 /// A finished run: the plain single-world path, or the sharded engine.
 enum Run {
@@ -78,8 +81,7 @@ const USAGE: &str = "usage: scenario [--users N] [--days N] [--seed N] [--era 20
      \x20               [--shards N] [--workers N] [--lures F] [--twofactor F]\n\
      \x20               [--no-defense] [--no-classifier] [--no-monitor] [--no-challenge]\n\
      \x20               [--report FILE] [--validate] [--fidelity-out FILE]\n\
-     \x20               [--checkpoint-dir DIR] [--checkpoint-every N]\n\
-     \x20               [--resume FILE] [--fault-plan SPEC]\n\
+     \x20               [--checkpoint-dir DIR] [--checkpoint-every N] [--fault-plan SPEC]\n\
      \x20               [--snapshot-at DAY --snapshot-out FILE]\n\
      \x20               [--fork-from FILE] [--fork-seed N]";
 
@@ -139,58 +141,21 @@ fn run(args: &[String]) -> Result<(), Failure> {
         )));
     }
 
-    let checkpoint_dir = cli::value::<PathBuf>(args, "--checkpoint-dir")?;
-    let checkpoint_every = cli::value::<u64>(args, "--checkpoint-every")?;
-    if checkpoint_every.is_some() && checkpoint_dir.is_none() {
-        return Err(Failure::Usage(UsageError(
-            "--checkpoint-every requires --checkpoint-dir".to_string(),
-        )));
-    }
-    let resume = cli::value::<PathBuf>(args, "--resume")?;
-    let faults = match cli::value::<String>(args, "--fault-plan")? {
-        None => None,
-        Some(spec) => Some(
-            FaultPlan::parse_spec(&spec, config.seed, config.days, shards)
-                .map_err(|e| UsageError(format!("invalid value for --fault-plan: {e}")))?,
-        ),
-    };
-    let snapshot_at = cli::value::<u64>(args, "--snapshot-at")?;
-    let snapshot_out = cli::value::<PathBuf>(args, "--snapshot-out")?;
-    if snapshot_at.is_some() != snapshot_out.is_some() {
-        return Err(Failure::Usage(UsageError(
-            "--snapshot-at and --snapshot-out must be given together".to_string(),
-        )));
-    }
-    let fork_from = cli::value::<PathBuf>(args, "--fork-from")?;
-    let fork_seed = cli::value::<u64>(args, "--fork-seed")?;
-    if fork_seed.is_some() && fork_from.is_none() {
-        return Err(Failure::Usage(UsageError("--fork-seed requires --fork-from".to_string())));
-    }
-    if snapshot_out.is_some() && (fork_from.is_some() || resume.is_some()) {
-        return Err(Failure::Usage(UsageError(
-            "--snapshot-out freezes a fresh run; it cannot be combined with \
-             --fork-from or --resume"
-                .to_string(),
-        )));
-    }
-    if fork_from.is_some() && resume.is_some() {
-        return Err(Failure::Usage(UsageError(
-            "--fork-from and --resume are different continuation mechanisms; pick one"
-                .to_string(),
-        )));
-    }
-    if snapshot_out.is_some() && (validate || cli::value::<String>(args, "--report")?.is_some()) {
+    let opts = EngineOptions::from_args(args, config.seed, config.days, shards)?;
+    let report_path = cli::value::<String>(args, "--report")?;
+    if opts.snapshot.is_some() && (validate || report_path.is_some()) {
         return Err(Failure::Usage(UsageError(
             "--snapshot-out stops mid-run; --report/--validate need a finished run".to_string(),
         )));
     }
+    let runtime = |e: mhw_core::EngineError| Failure::Runtime(e.to_string());
 
     // Freeze mode: run the prefix, write the fork-point record, stop.
-    if let (Some(day), Some(out)) = (snapshot_at, &snapshot_out) {
-        let engine = mhw_core::ScenarioBuilder::new(config).workers(workers).sharded(shards);
+    if let Some((day, out)) = &opts.snapshot {
+        let engine = ScenarioBuilder::new(config).workers(workers).sharded(shards);
         let t0 = std::time::Instant::now();
-        let snapshot = engine.snapshot_after(day).map_err(|e| Failure::Runtime(e.to_string()))?;
-        snapshot.write_record(out).map_err(|e| Failure::Runtime(e.to_string()))?;
+        let snapshot = opts.configure(engine).snapshot_after(*day).map_err(runtime)?;
+        snapshot.write_record(out).map_err(runtime)?;
         eprintln!(
             "froze {} shard(s) after day {}/{} in {:.1}s; fork-point record -> {}",
             snapshot.n_shards(),
@@ -202,12 +167,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
         return Ok(());
     }
 
-    // Crash-safety machinery lives in the engine, so any of its flags
-    // forces the engine path even for a single shard (identical output;
-    // the engine's determinism tests pin it).
-    let engine_path =
-        shards > 1 || checkpoint_dir.is_some() || resume.is_some() || faults.is_some();
-
     eprintln!(
         "running: {} users, {} days, era {:?}, lures/user/day {}, seed {:#x}, {} shard(s), {} worker(s)",
         config.population.n_users,
@@ -218,55 +177,20 @@ fn run(args: &[String]) -> Result<(), Failure> {
         shards,
         workers
     );
+    if let Some(file) = &opts.fork_from {
+        eprintln!("restoring from {}", file.display());
+    }
     let days = config.days;
     let seed = config.seed;
     let t0 = std::time::Instant::now();
-    let run = if let Some(file) = fork_from {
-        // Rebuild the recorded prefix, digest-verify the fork point
-        // against the record, then run the (optionally divergent)
-        // continuation.
-        let record =
-            mhw_core::Checkpoint::read(&file).map_err(|e| Failure::Runtime(e.to_string()))?;
-        eprintln!(
-            "forking from {} (fork point: day {}/{}, {} shard(s))",
-            file.display(),
-            record.completed_days,
-            record.days,
-            record.n_shards
-        );
-        let engine = mhw_core::ScenarioBuilder::new(config).workers(workers).sharded(shards);
-        let snapshot = engine
-            .snapshot_after(record.completed_days)
-            .map_err(|e| Failure::Runtime(e.to_string()))?;
-        snapshot
-            .verify_record(&record, &file.display().to_string())
-            .map_err(|e| Failure::Runtime(e.to_string()))?;
-        let mut fork = mhw_core::ScenarioBuilder::fork_from(&snapshot).workers(workers);
-        if let Some(seed) = fork_seed {
-            fork = fork.seed(seed);
-        }
-        if let Some(dir) = checkpoint_dir {
-            fork = fork.checkpoint_to(dir, checkpoint_every.unwrap_or(1));
-        }
-        if let Some(plan) = faults {
-            fork = fork.fault_plan(plan);
-        }
-        Run::Sharded(Box::new(fork.run().map_err(|e| Failure::Runtime(e.to_string()))?))
-    } else if engine_path {
-        let mut engine =
-            mhw_core::ScenarioBuilder::new(config).workers(workers).sharded(shards);
-        if let Some(dir) = checkpoint_dir {
-            engine = engine.checkpoint_to(dir, checkpoint_every.unwrap_or(1));
-        }
-        if let Some(file) = resume {
-            engine = engine.resume_from(file);
-        }
-        if let Some(plan) = faults {
-            engine = engine.fault_plan(plan);
-        }
-        Run::Sharded(Box::new(engine.run().map_err(|e| Failure::Runtime(e.to_string()))?))
+    // Crash-safety and restore machinery lives in the engine, so any of
+    // its flags forces the engine path even for a single shard
+    // (identical output; the engine's determinism tests pin it).
+    let run = if shards > 1 || !opts.is_default() {
+        let engine = ScenarioBuilder::new(config).workers(workers).sharded(shards);
+        Run::Sharded(Box::new(opts.run(engine, workers).map_err(runtime)?))
     } else {
-        Run::Single(Box::new(mhw_core::ScenarioBuilder::new(config).run()))
+        Run::Single(Box::new(ScenarioBuilder::new(config).run()))
     };
     eprintln!("done in {:.1}s\n", t0.elapsed().as_secs_f64());
 
@@ -346,7 +270,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
         );
     }
 
-    if let Some(path) = cli::value::<String>(args, "--report")? {
+    if let Some(path) = report_path {
         std::fs::write(&path, run.report_json())
             .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
         eprintln!("wrote {path}");

@@ -3,9 +3,11 @@
 
 use mhw_adversary::Era;
 use mhw_analysis::ComparisonTable;
+use crate::cli::{self, UsageError};
 use mhw_core::{
-    run_decoy_experiment, run_form_campaigns, DecoyReport, Ecosystem, EngineError, FaultPlan,
-    FormCampaignOutput, ScenarioBuilder, ScenarioConfig, ShardedEngine, WorkerPool,
+    run_decoy_experiment, run_form_campaigns, Checkpoint, DecoyReport, Ecosystem, EngineError,
+    EngineResult, FaultPlan, FormCampaignOutput, ScenarioBuilder, ScenarioConfig, ShardedEngine,
+    ShardedRun, WorkerPool,
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -50,40 +52,144 @@ pub struct Context {
     pub decoys: DecoyReport,
 }
 
-/// Crash-safety and world-forking options for the context's main
-/// (2012-era) run, wired through from the `repro` binary's
-/// `--checkpoint-dir` / `--checkpoint-every` / `--resume` /
-/// `--fault-plan` / `--snapshot-at` / `--snapshot-out` / `--fork-from`
-/// / `--fork-seed` flags.
+/// The crash-safety and restore flags `repro` and `scenario` share —
+/// `--checkpoint-dir` / `--checkpoint-every` / `--fault-plan` /
+/// `--snapshot-at` / `--snapshot-out` / `--fork-from` / `--fork-seed` —
+/// parsed once ([`EngineOptions::from_args`]) and applied to an engine
+/// once ([`EngineOptions::run`]), so they compose the same way in both.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Write day-barrier checkpoints: `(directory, every N days)`.
     pub checkpoint: Option<(PathBuf, u64)>,
-    /// Resume the main run from this checkpoint file.
-    pub resume: Option<PathBuf>,
-    /// Deterministic fault plan injected into the main run.
+    /// Deterministic fault plan injected into the run.
     pub faults: Option<FaultPlan>,
-    /// Freeze the main run's fork point `(after day, record path)`.
-    /// The run still completes — a same-seed fork finishes the
-    /// remaining days, which the engine guarantees is byte-identical
-    /// to never snapshotting at all.
+    /// Freeze the run's fork point `(after day, record path)`. Under
+    /// [`EngineOptions::run`] the run still completes — a same-seed
+    /// fork finishes the remaining days, which the engine guarantees is
+    /// byte-identical to never snapshotting at all.
     pub snapshot: Option<(u64, PathBuf)>,
-    /// Rebuild the recorded prefix, digest-verify the fork point
-    /// against this record, and run the main world as a continuation.
+    /// Restore the run at the day barrier recorded in this checkpoint
+    /// or fork-point record, then run it to the end.
     pub fork_from: Option<PathBuf>,
-    /// Divergent continuation seed (with [`EngineOptions::fork_from`]).
+    /// Diverge the restored run's RNG streams from the recorded
+    /// barrier on (with [`EngineOptions::fork_from`]).
     pub fork_seed: Option<u64>,
 }
 
 impl EngineOptions {
-    /// True when no crash-safety or forking machinery was requested.
+    /// Parse the shared flags. A `--fault-plan` spec is resolved
+    /// against the run's geometry: master `seed`, `days`, `shards`.
+    ///
+    /// # Errors
+    ///
+    /// A [`UsageError`] for a malformed value or a combination that
+    /// cannot work: `--checkpoint-every` without `--checkpoint-dir`,
+    /// half of `--snapshot-at`/`--snapshot-out`, `--fork-seed` without
+    /// `--fork-from` or with `--checkpoint-dir` (a diverged run's
+    /// checkpoints could never be resumed), or `--snapshot-out` with
+    /// `--fork-from`.
+    pub fn from_args(
+        args: &[String],
+        seed: u64,
+        days: u64,
+        shards: u16,
+    ) -> Result<Self, UsageError> {
+        let usage = |msg: &str| Err(UsageError(msg.to_string()));
+        let checkpoint_dir = cli::value::<PathBuf>(args, "--checkpoint-dir")?;
+        let checkpoint_every = cli::value::<u64>(args, "--checkpoint-every")?;
+        if checkpoint_every.is_some() && checkpoint_dir.is_none() {
+            return usage("--checkpoint-every requires --checkpoint-dir");
+        }
+        let faults = match cli::value::<String>(args, "--fault-plan")? {
+            None => None,
+            Some(spec) => Some(FaultPlan::parse_spec(&spec, seed, days, shards).map_err(|e| {
+                UsageError(format!("invalid value for --fault-plan: {e}"))
+            })?),
+        };
+        let snapshot_at = cli::value::<u64>(args, "--snapshot-at")?;
+        let snapshot_out = cli::value::<PathBuf>(args, "--snapshot-out")?;
+        if snapshot_at.is_some() != snapshot_out.is_some() {
+            return usage("--snapshot-at and --snapshot-out must be given together");
+        }
+        let fork_from = cli::value::<PathBuf>(args, "--fork-from")?;
+        let fork_seed = cli::value::<u64>(args, "--fork-seed")?;
+        if fork_seed.is_some() && fork_from.is_none() {
+            return usage("--fork-seed requires --fork-from");
+        }
+        if fork_seed.is_some() && checkpoint_dir.is_some() {
+            return usage(
+                "--fork-seed diverges the run from the recorded barrier, and a diverged \
+                 run's checkpoints could never be resumed; drop --checkpoint-dir",
+            );
+        }
+        if snapshot_out.is_some() && fork_from.is_some() {
+            return usage(
+                "--snapshot-out freezes a fresh run; it cannot be combined with --fork-from",
+            );
+        }
+        Ok(EngineOptions {
+            checkpoint: checkpoint_dir.map(|dir| (dir, checkpoint_every.unwrap_or(1))),
+            faults,
+            snapshot: snapshot_at.zip(snapshot_out),
+            fork_from,
+            fork_seed,
+        })
+    }
+
+    /// True when no crash-safety or restore machinery was requested.
     pub fn is_default(&self) -> bool {
         self.checkpoint.is_none()
-            && self.resume.is_none()
             && self.faults.is_none()
             && self.snapshot.is_none()
             && self.fork_from.is_none()
             && self.fork_seed.is_none()
+    }
+
+    /// `engine` with the checkpoints, faults and `--fork-from` restore
+    /// applied.
+    pub fn configure(&self, mut engine: ShardedEngine) -> ShardedEngine {
+        if let Some((dir, every)) = &self.checkpoint {
+            engine = engine.checkpoint_to(dir.clone(), *every);
+        }
+        if let Some(file) = &self.fork_from {
+            engine = engine.resume_from(file.clone());
+        }
+        engine.fault_plan(self.faults.clone().unwrap_or_default())
+    }
+
+    /// Run `engine` to the end under these options. Recording the fork
+    /// point or diverging from the restored barrier needs a snapshot;
+    /// the rest of the run is then a fork on `workers` threads that
+    /// keeps the faults and checkpoints (same-seed forks are
+    /// byte-identical to never snapshotting, pinned by the engine's
+    /// forking tests).
+    ///
+    /// # Errors
+    ///
+    /// Any [`EngineError`] of the run (checkpoint I/O, a corrupt or
+    /// mismatched restore record, an injected or organic shard panic).
+    pub fn run(&self, engine: ShardedEngine, workers: usize) -> EngineResult<ShardedRun> {
+        let engine = self.configure(engine);
+        let freeze_at = match (&self.snapshot, &self.fork_from) {
+            (Some((day, _)), _) => *day,
+            (None, Some(file)) if self.fork_seed.is_some() => {
+                Checkpoint::read(file)?.completed_days
+            }
+            _ => return engine.run(),
+        };
+        let snapshot = engine.snapshot_after(freeze_at)?;
+        if let Some((_, path)) = &self.snapshot {
+            snapshot.write_record(path)?;
+        }
+        let mut fork =
+            snapshot.fork().workers(workers).fault_plan(self.faults.clone().unwrap_or_default());
+        if let Some(seed) = self.fork_seed {
+            fork = fork.seed(seed);
+        }
+        if let Some((dir, every)) = &self.checkpoint {
+            fork = fork.checkpoint_to(dir.clone(), *every);
+        }
+        fork.run()
     }
 }
 
@@ -113,7 +219,7 @@ impl Context {
     ///
     /// With non-default [`EngineOptions`] the main 2012-era world runs
     /// through a single-shard [`ShardedEngine`] so checkpointing,
-    /// resume and fault injection apply to it; the single-shard engine
+    /// restore and fault injection apply to it; the single-shard engine
     /// produces byte-identical output to the plain path (the market is
     /// disabled at this scale), so results never depend on which route
     /// was taken.
@@ -121,7 +227,7 @@ impl Context {
     /// # Errors
     ///
     /// Any [`EngineError`] from the main run (checkpoint I/O, corrupt
-    /// or mismatched resume file, injected or organic shard panic). A
+    /// or mismatched restore record, injected or organic shard panic). A
     /// panic in one of the other four runs surfaces as
     /// [`EngineError::ShardPanicked`] with the job index in `shard`.
     // The slot `expect`s below are claim-protocol invariants, not error
@@ -139,46 +245,15 @@ impl Context {
             Scale::Full => (ScenarioConfig::measurement as fn(u64) -> _, 100, 200),
         };
 
-        // The checkpointable path for the main world runs first, on the
+        // The engine path for the main world runs first, on the
         // coordinator: crash-safety work is inherently serial anyway
-        // (replay, barrier verification), and doing it up front keeps
+        // (restore, barrier verification), and doing it up front keeps
         // the pool below free of fallible jobs.
         let prebuilt_2012: Option<Ecosystem> = if opts.is_default() {
             None
-        } else if let Some((day, path)) = &opts.snapshot {
-            // Freeze the fork point, record it, then finish the run via
-            // a same-seed fork — byte-identical to an uninterrupted run
-            // (pinned by the engine's forking tests).
-            let snapshot = ShardedEngine::new(base(seed), 1).snapshot_after(*day)?;
-            snapshot.write_record(path)?;
-            let mut shards = snapshot.fork().run()?.into_shards();
-            Some(shards.pop().expect("engine configured with one shard"))
-        } else if let Some(file) = &opts.fork_from {
-            // Rebuild the recorded prefix, verify the fork point against
-            // the record, then run the (optionally divergent)
-            // continuation as the main world.
-            let record = mhw_core::Checkpoint::read(file)?;
-            let snapshot =
-                ShardedEngine::new(base(seed), 1).snapshot_after(record.completed_days)?;
-            snapshot.verify_record(&record, &file.display().to_string())?;
-            let mut fork = snapshot.fork();
-            if let Some(fork_seed) = opts.fork_seed {
-                fork = fork.seed(fork_seed);
-            }
-            let mut shards = fork.run()?.into_shards();
-            Some(shards.pop().expect("engine configured with one shard"))
         } else {
-            let mut engine = ShardedEngine::new(base(seed), 1);
-            if let Some((dir, every)) = &opts.checkpoint {
-                engine = engine.checkpoint_to(dir.clone(), *every);
-            }
-            if let Some(file) = &opts.resume {
-                engine = engine.resume_from(file.clone());
-            }
-            if let Some(plan) = &opts.faults {
-                engine = engine.fault_plan(plan.clone());
-            }
-            let mut shards = engine.run()?.into_shards();
+            let engine = ShardedEngine::new(base(seed), 1);
+            let mut shards = opts.run(engine, workers)?.into_shards();
             Some(shards.pop().expect("engine configured with one shard"))
         };
 

@@ -45,6 +45,35 @@ cargo run --offline --release -p mhw-experiments --bin repro -- \
     --fidelity-out "$fidelity_tmp/FIDELITY.json" \
     --scorecard "$fidelity_tmp/FIDELITY.md"
 
+echo "== restore =="
+# Crash and restore through the CLI: a checkpointed scenario killed by
+# an injected panic exits 1, and restoring it from its day-2 checkpoint
+# with --fork-from writes a --report byte-identical to the uninterrupted
+# run's. A diverged restore cannot write checkpoints: usage error, exit 2.
+scenario() {
+    cargo run --offline --release -q -p mhw-experiments --bin scenario -- \
+        --users 400 --days 6 --shards 2 --workers 1 "$@" >/dev/null
+}
+scenario --report "$fidelity_tmp/uninterrupted.json"
+status=0
+scenario --checkpoint-dir "$fidelity_tmp/ckpts" --checkpoint-every 2 \
+    --fault-plan panic@3.0 2>"$fidelity_tmp/crash.log" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "injected fault" "$fidelity_tmp/crash.log"; then
+    echo "the injected panic should exit 1, got $status:" >&2
+    cat "$fidelity_tmp/crash.log" >&2
+    exit 1
+fi
+scenario --fork-from "$fidelity_tmp/ckpts/ckpt-day00002.mhw" \
+    --report "$fidelity_tmp/restored.json"
+cmp "$fidelity_tmp/uninterrupted.json" "$fidelity_tmp/restored.json"
+status=0
+scenario --fork-from "$fidelity_tmp/ckpts/ckpt-day00002.mhw" --fork-seed 7 \
+    --checkpoint-dir "$fidelity_tmp/ckpts" 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "--fork-seed with --checkpoint-dir should be a usage error (exit 2), got $status" >&2
+    exit 1
+fi
+
 echo "== docs links =="
 # Every intra-repo markdown link (and anchor) must resolve.
 scripts/check_links.sh

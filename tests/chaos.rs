@@ -133,6 +133,43 @@ fn resume_reproduces_the_uninterrupted_run_byte_for_byte() {
 }
 
 #[test]
+fn resume_skips_faults_and_checkpoints_before_the_recorded_barrier() {
+    let dir = scratch("replay");
+    let dir2 = scratch("replay-resumed");
+    let full = engine(0xFA, 2).workers(1).run().expect("uninterrupted run");
+    engine(0xFA, 2)
+        .workers(1)
+        .checkpoint_to(&dir, 2)
+        .run()
+        .expect("checkpointed run");
+
+    // Two faults sit before the recorded day-2 barrier (a panic and an
+    // exhausting checkpoint failure, either of which would kill a live
+    // run); one slowdown sits after it. The replayed prefix must skip
+    // the first two and write no checkpoint; the live tail must fire
+    // the third and checkpoint only at day 4.
+    let plan = FaultPlan::new().panic_at(1, 0).fail_checkpoint(1, 3).slow_at(4, 1, 1);
+    let resumed = engine(0xFA, 2)
+        .workers(1)
+        .checkpoint_to(&dir2, 2)
+        .fault_plan(plan)
+        .resume_from(dir.join("ckpt-day00002.mhw"))
+        .run()
+        .expect("resumed run");
+    assert_eq!(resumed.run_report().to_json(), full.run_report().to_json());
+    assert_eq!(resumed.ops_metrics().counter_value(M_FAULTS_INJECTED), Some(1));
+    assert_eq!(resumed.ops_metrics().counter_value(M_CHECKPOINTS_WRITTEN), Some(1));
+    let mut written: Vec<String> = std::fs::read_dir(&dir2)
+        .expect("list resumed checkpoint dir")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, vec!["ckpt-day00004.mhw".to_string()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir2);
+}
+
+#[test]
 fn checkpoint_writes_and_ops_counters_are_observable() {
     let dir = scratch("counters");
     let run = engine(0xC0, 2)
