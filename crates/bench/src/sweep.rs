@@ -98,7 +98,10 @@ pub struct CellOutcome {
     pub label: String,
     /// The seed the cell actually ran with.
     pub seed: u64,
-    /// Order-independent dataset digest of the finished run.
+    /// Dataset digest of the finished run
+    /// ([`ShardedRun::dataset_digest`](mhw_core::ShardedRun::dataset_digest)):
+    /// one FNV-1a chain over the merged `(at, shard, seq)` order, so it
+    /// does not depend on the worker count or the pool width.
     pub digest: u64,
     /// Total hijacking incidents across shards.
     pub incidents: u64,

@@ -62,6 +62,7 @@ use crate::config::{DefenseConfig, RecoveryConfig, ScenarioConfig};
 use crate::ecosystem::{Ecosystem, Incident, RunStats};
 use crate::fault::FaultPlan;
 use crate::pool::WorkerPool;
+use crate::record_digest::RecordDigest;
 use mhw_adversary::SessionReport;
 use mhw_defense::NotificationRecord;
 use mhw_identity::LoginRecord;
@@ -75,7 +76,6 @@ use mhw_types::{
     RetryPolicy, SimDuration, SimTime, SpillFile, DAY,
 };
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -1318,11 +1318,14 @@ impl ShardedRun {
 
     /// Stream the three merged event logs to `dir` (one file each:
     /// `logins.log`, `mail_events.log`, `notifications.log`) and return
-    /// the spill receipts in that order. The bytes written are exactly
-    /// what [`dataset_digest`](Self::dataset_digest) hashes for each
-    /// log, so long-horizon runs can drop the in-memory merged views
-    /// and re-verify the datasets from disk later via
-    /// [`mhw_types::read_spilled_digest`].
+    /// the spill receipts in that order. Each receipt's digest is
+    /// FNV-1a over its own file, newline-terminated lines included, and
+    /// [`mhw_types::read_spilled_digest`] re-derives it from disk, so
+    /// long-horizon runs can drop the in-memory merged views and later
+    /// check the files are intact. Spill digests are per file and
+    /// cannot reproduce [`dataset_digest`](Self::dataset_digest), which
+    /// hashes the lines without newlines and chains all three logs,
+    /// incidents, sessions and counters into one hash.
     pub fn spill_logs(&self, dir: &Path) -> std::io::Result<Vec<SpillFile>> {
         std::fs::create_dir_all(dir)?;
         Ok(vec![
@@ -1376,38 +1379,33 @@ impl ShardedRun {
     /// sharded scenario must produce the same digest regardless of
     /// worker count — this is the engine's determinism contract and is
     /// what `tests/sharding.rs` pins.
+    ///
+    /// One FNV-1a chain over these rows in order, with nothing between
+    /// rows: `"{key:?}|{record:?}"` per merged login, mail and
+    /// notification entry, `"{shard}|{incident:?}"` per incident,
+    /// `"{shard}|{session:?}"` per session report, and `"{:?}"` of
+    /// [`total_stats`](Self::total_stats). The log entries, nearly all
+    /// of the bytes, are hashed by an encoder that produces that text's
+    /// bytes without formatting it (see `record_digest.rs`).
     pub fn dataset_digest(&self) -> u64 {
-        let mut line = String::new();
-        let mut h = Fnv1a::new();
-        for r in self.merged_logins() {
-            line.clear();
-            let _ = write!(line, "{:?}|{:?}", r.key, r.record);
-            h.write(line.as_bytes());
+        let mut enc = RecordDigest::new(Fnv1a::OFFSET);
+        for e in self.merged_logins() {
+            enc.login(e.key, e.record);
         }
         for e in self.merged_mail_events() {
-            line.clear();
-            let _ = write!(line, "{:?}|{:?}", e.key, e.record);
-            h.write(line.as_bytes());
+            enc.mail(e.key, e.record);
         }
-        for n in self.merged_notifications() {
-            line.clear();
-            let _ = write!(line, "{:?}|{:?}", n.key, n.record);
-            h.write(line.as_bytes());
+        for e in self.merged_notifications() {
+            enc.notification(e.key, e.record);
         }
         for (shard, inc) in self.incidents() {
-            line.clear();
-            let _ = write!(line, "{shard}|{inc:?}");
-            h.write(line.as_bytes());
+            enc.formatted(format_args!("{shard}|{inc:?}"));
         }
         for (shard, sess) in self.sessions() {
-            line.clear();
-            let _ = write!(line, "{shard}|{sess:?}");
-            h.write(line.as_bytes());
+            enc.formatted(format_args!("{shard}|{sess:?}"));
         }
-        line.clear();
-        let _ = write!(line, "{:?}", self.total_stats());
-        h.write(line.as_bytes());
-        h.finish()
+        enc.formatted(format_args!("{:?}", self.total_stats()));
+        enc.finish()
     }
 
     /// The engine's own metrics registry (market trades, cross-shard

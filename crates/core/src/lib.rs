@@ -48,6 +48,7 @@ pub mod ecosystem;
 pub mod engine;
 pub mod fault;
 pub mod pool;
+mod record_digest;
 pub mod replay;
 pub mod resilience;
 pub mod world;

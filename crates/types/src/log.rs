@@ -49,10 +49,14 @@
 //! pre-sized output buffer so repeated merges reuse one allocation.
 //!
 //! For worlds whose merged logs outgrow RAM, [`LogStore::spill`]
-//! streams a merged view to disk in the exact byte format the dataset
-//! digest hashes, so the spilled file's [`Fnv1a`] digest equals the
-//! in-memory one and can be re-verified later with
-//! [`read_spilled_digest`].
+//! streams a merged view to disk, one newline-terminated
+//! `"{key:?}|{record:?}"` line per entry, and returns a spill digest:
+//! [`Fnv1a`] over that file's bytes, which [`read_spilled_digest`]
+//! re-derives from disk to show the file is intact. A spill digest
+//! covers one file. It cannot reproduce the engine's dataset digest,
+//! which hashes the same lines without their newlines and chains all
+//! three logs, then incidents, sessions and run counters, into one
+//! hash.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -454,10 +458,11 @@ impl<T> LogStore<T> {
 
 impl<T: Debug> LogStore<T> {
     /// Stream a merged view to `path`, one `"{key:?}|{record:?}\n"`
-    /// line per entry — exactly the bytes the dataset digest hashes, so
-    /// the returned [`SpillFile::digest`] equals the digest of the same
-    /// entries hashed in memory, and [`read_spilled_digest`] recovers
-    /// it from disk later without holding the log in RAM.
+    /// line per entry. The returned [`SpillFile::digest`] is FNV-1a
+    /// over exactly the bytes written, newlines included, and
+    /// [`read_spilled_digest`] re-derives it from disk later without
+    /// holding the log in RAM. It is a per-file digest, not the
+    /// engine's dataset digest (see the module docs).
     pub fn spill<'a>(
         entries: impl IntoIterator<Item = Entry<'a, T>>,
         path: &Path,
@@ -491,8 +496,7 @@ impl<T: Debug> LogStore<T> {
 }
 
 /// Receipt for one spilled log: where it went, how much, and the FNV
-/// digest of its bytes (identical to digesting the same merged entries
-/// in memory).
+/// digest of the file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpillFile {
     /// Where the merged log landed (display form of the spill path,

@@ -131,6 +131,33 @@ echo "== bench-fork =="
 # fork_sweep` run (see docs/REPRODUCING.md).
 cargo bench --offline -p mhw-bench --bench fork_sweep -- --smoke
 
+echo "== digest pins =="
+# Absolute digests. Every test above compares dataset digests across
+# worker counts, forks and reruns, so an encoding slip in
+# `ShardedRun::dataset_digest` that is deterministic would pass them
+# all. The benchmark pins the output of its two workloads that call the
+# digest at two seeds each, and a run reports "correct":true only when
+# its output matches the pin. Runs start in the temp dir so their
+# records (.bench_out/) stay out of the tree.
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+repo_root=$(pwd)
+for workload in posture-sweep scale-world; do
+    for seed in 1 20141105; do
+        result=$(cd "$fidelity_tmp" && cargo run --offline --release --quiet \
+            --manifest-path "$repo_root/benchmark/Cargo.toml" -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0 \
+            2>"$fidelity_tmp/pin.log" | tail -n 1)
+        case "$result" in
+            *'"correct":true'*'"failed":0,'*) echo "$workload seed $seed: pinned" ;;
+            *)
+                echo "$workload seed $seed does not match its pinned digest: $result" >&2
+                cat "$fidelity_tmp/pin.log" >&2
+                exit 1
+                ;;
+        esac
+    done
+done
+
 echo "== clean tree =="
 status_after=$(git status --porcelain)
 if [ "$status_after" != "$status_before" ]; then

@@ -4,11 +4,14 @@
 //! The load-bearing test is `worker_count_never_changes_the_dataset`:
 //! logical shards are scenario semantics, worker threads are pure
 //! mechanics, so the digest over every produced dataset must be
-//! byte-identical at any parallelism level.
+//! byte-identical at any parallelism level. The `reference_digest`
+//! tests pin what that digest hashes: the `{:?}` text of every row.
 
+use manual_hijacking_wild::core::RecoveryConfig;
 use manual_hijacking_wild::prelude::*;
-use manual_hijacking_wild::types::{LogStore, DAY};
+use manual_hijacking_wild::types::{Fnv1a, LogStore, DAY};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// A small sharded scenario exercising every cross-shard path: the
 /// credential market, contact-graph spillover, and engine-scheduled
@@ -86,6 +89,66 @@ fn same_seed_same_digest_different_seed_different_digest() {
     let c = engine(0xD16F, 3).run().expect("engine run");
     assert_eq!(a.dataset_digest(), b.dataset_digest());
     assert_ne!(a.dataset_digest(), c.dataset_digest());
+}
+
+/// The dataset digest spelled out: `{:?}`-format every row and
+/// FNV-1a-hash the text. `ShardedRun::dataset_digest` hashes the same
+/// bytes without formatting the log records, so the two must agree on
+/// every world.
+fn reference_digest(run: &ShardedRun) -> u64 {
+    let mut line = String::new();
+    let mut h = Fnv1a::new();
+    let mut absorb = |args: std::fmt::Arguments<'_>| {
+        line.clear();
+        line.write_fmt(args).expect("format row");
+        h.write(line.as_bytes());
+    };
+    for e in run.merged_logins() {
+        absorb(format_args!("{:?}|{:?}", e.key, e.record));
+    }
+    for e in run.merged_mail_events() {
+        absorb(format_args!("{:?}|{:?}", e.key, e.record));
+    }
+    for e in run.merged_notifications() {
+        absorb(format_args!("{:?}|{:?}", e.key, e.record));
+    }
+    for (shard, inc) in run.incidents() {
+        absorb(format_args!("{shard}|{inc:?}"));
+    }
+    for (shard, sess) in run.sessions() {
+        absorb(format_args!("{shard}|{sess:?}"));
+    }
+    absorb(format_args!("{:?}", run.total_stats()));
+    h.finish()
+}
+
+#[test]
+fn digest_matches_the_reference_on_a_market_world() {
+    let run = engine(0xC0DE, 4).workers(2).run().expect("engine run");
+    assert!(run.market_trades > 0 && run.cross_shard_lures > 0, "cross-shard paths idle");
+    assert_eq!(run.dataset_digest(), reference_digest(&run));
+}
+
+#[test]
+fn digest_matches_the_reference_on_an_undefended_pivot_world() {
+    let mut config = ScenarioConfig::small_test(0xD1CE);
+    config.days = 6;
+    config.population.n_users = 240;
+    config.defense = DefenseConfig::none();
+    config.recovery = RecoveryConfig::paper();
+    let run = ShardedEngine::new(config, 2).run().expect("engine run");
+    assert!(
+        run.merged_mail_events().iter().any(|e| matches!(e.actor, Actor::Hijacker(_))),
+        "no hijacker mail actions to hash"
+    );
+    assert_eq!(run.dataset_digest(), reference_digest(&run));
+}
+
+#[test]
+fn digest_matches_the_reference_on_a_forked_cell() {
+    let snapshot = engine(0xF02C, 2).snapshot_after(3).expect("snapshot");
+    let cell = snapshot.fork().seed(0xF02D).run().expect("fork");
+    assert_eq!(cell.dataset_digest(), reference_digest(&cell));
 }
 
 #[test]
