@@ -1,35 +1,8 @@
 //! # mhw-bench
 //!
-//! Shared fixtures for the Criterion benchmark harness. Each bench
-//! target regenerates one of the paper's tables/figures (or one of the
-//! design-choice ablations DESIGN.md calls out); building the simulated
-//! worlds is expensive, so fixtures are constructed once per process
-//! and reused across benchmark iterations.
-
-use mhw_core::{run_form_campaigns, Ecosystem, FormCampaignOutput, ScenarioBuilder};
-use std::sync::OnceLock;
+//! The fork-sweep driver ([`sweep::fork_sweep`]): one frozen world
+//! snapshot, one forked continuation per grid cell, fanned across a
+//! worker pool. The `sweep` binary and the benchmark's posture-sweep
+//! workload both run their grids through it.
 
 pub mod sweep;
-
-/// A small finished ecosystem run shared by the extraction benches.
-pub fn bench_world() -> &'static Ecosystem {
-    static WORLD: OnceLock<Ecosystem> = OnceLock::new();
-    WORLD.get_or_init(|| ScenarioBuilder::small_test(0xBE7C).days(10).run())
-}
-
-/// A finished form-campaign batch shared by the Figures 3–6 benches.
-pub fn bench_forms() -> &'static FormCampaignOutput {
-    static FORMS: OnceLock<FormCampaignOutput> = OnceLock::new();
-    FORMS.get_or_init(|| run_form_campaigns(25, true, 0xBE7C))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build() {
-        assert!(bench_world().stats.organic_logins > 0);
-        assert!(!bench_forms().pages.is_empty());
-    }
-}

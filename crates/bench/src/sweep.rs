@@ -6,11 +6,7 @@
 //! simulate the undiverged days — once per cell. The fork driver pays
 //! for that prefix once: [`fork_sweep`] forks one copy-on-write
 //! continuation per cell from a shared snapshot, so each cell costs
-//! O(clone + tail days) instead of O(build + all days). The
-//! from-scratch control arm ([`scratch_sweep`]) runs the identical
-//! grid as full builds over the same pool shape, which is what
-//! `benches/fork_sweep.rs` measures `BENCH_fork.json`'s speedup
-//! against.
+//! O(clone + tail days) instead of O(build + all days).
 //!
 //! Cells are fanned over the pool while each cell's engine runs
 //! single-worker — the sweep is embarrassingly parallel at cell
@@ -18,23 +14,19 @@
 //! host. Outcomes come back in cell order regardless of scheduling,
 //! and a cell's digest never depends on the pool width.
 //!
-//! Each cell reports two separate timings: `run_s` (forking/building
-//! and simulating — the cost the fork optimization attacks) and
-//! `digest_s` (digesting the finished dataset and extracting stats —
-//! identical work in both arms, kept out of the speedup ratio so it
-//! cannot dilute what is being measured). The finished run is dropped
-//! inside the cell, so a 16-cell sweep never holds 16 worlds at once.
+//! Each cell reports two separate timings: `run_s` (forking and
+//! simulating the tail days) and `digest_s` (digesting the finished
+//! dataset and extracting stats). The finished run is dropped inside
+//! the cell, so a 16-cell sweep never holds 16 worlds at once.
 
-use mhw_core::{
-    DefenseConfig, EngineResult, RecoveryConfig, ShardedEngine, WorkerPool, WorldSnapshot,
-};
+use mhw_core::{DefenseConfig, EngineResult, RecoveryConfig, WorkerPool, WorldSnapshot};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One cell of a sweep grid: a label plus the divergence applied to
 /// its continuation. A `None` field keeps the snapshot's own value, so
 /// `SweepCell::baseline` reproduces the uninterrupted run byte for
-/// byte — the digest cross-check `benches/fork_sweep.rs` pins.
+/// byte.
 ///
 /// ```
 /// use mhw_bench::sweep::SweepCell;
@@ -116,12 +108,12 @@ pub struct CellOutcome {
     pub pivot_attempts: u64,
     /// Pivot claims that took the account over.
     pub pivot_takeovers: u64,
-    /// Wall-clock seconds producing the finished run (fork + tail days
-    /// in the fork arm; build + all days in the scratch arm).
+    /// Wall-clock seconds producing the finished run: the fork and its
+    /// tail days.
     pub run_s: f64,
-    /// Wall-clock seconds digesting the dataset and extracting stats —
-    /// the same work in both arms, reported separately so the fork
-    /// speedup compares production cost, not consumption cost.
+    /// Wall-clock seconds digesting the dataset and extracting stats,
+    /// reported apart from `run_s` so production and consumption cost
+    /// can be read separately.
     pub digest_s: f64,
 }
 
@@ -130,50 +122,12 @@ pub struct CellOutcome {
 /// digest-verified at the fork point before diverging (see
 /// [`WorldSnapshot::fork`]), so a corrupted clone surfaces as
 /// `EngineError::CheckpointMismatch` rather than silently wrong data.
+/// Outcomes come back in cell order; the first engine error (by cell
+/// index) is propagated, and a panicking cell re-panics on the caller.
 pub fn fork_sweep(
     snapshot: &WorldSnapshot,
     cells: &[SweepCell],
     pool_workers: usize,
-) -> EngineResult<Vec<CellOutcome>> {
-    run_cells(cells, pool_workers, snapshot.seed(), |cell| {
-        let mut fork = snapshot.fork().workers(1);
-        if let Some(seed) = cell.seed {
-            fork = fork.seed(seed);
-        }
-        if let Some(defense) = cell.defense {
-            fork = fork.defense(defense);
-        }
-        if let Some(recovery) = cell.recovery {
-            fork = fork.recovery(recovery);
-        }
-        fork.run()
-    })
-}
-
-/// The from-scratch control arm: run every cell as a full build + run
-/// over the same pool shape. `engine_for` must assemble the engine
-/// exactly as the snapshot's prefix was (shards, decoy schedule,
-/// spillover) with the cell's divergence applied to the base config,
-/// so the baseline cell stays digest-comparable to its forked twin;
-/// `base_seed` labels cells that did not diverge their seed.
-pub fn scratch_sweep(
-    engine_for: &(dyn Fn(&SweepCell) -> ShardedEngine + Sync),
-    base_seed: u64,
-    cells: &[SweepCell],
-    pool_workers: usize,
-) -> EngineResult<Vec<CellOutcome>> {
-    run_cells(cells, pool_workers, base_seed, |cell| engine_for(cell).run())
-}
-
-/// Fan `run_one` over the cells on a [`WorkerPool`], timing each cell's
-/// run and digest separately and collecting outcomes back into cell
-/// order. The first engine error (by cell index) is propagated; a
-/// panicking cell re-panics on the caller.
-fn run_cells(
-    cells: &[SweepCell],
-    pool_workers: usize,
-    base_seed: u64,
-    run_one: impl Fn(&SweepCell) -> EngineResult<mhw_core::ShardedRun> + Sync,
 ) -> EngineResult<Vec<CellOutcome>> {
     let slots: Vec<Mutex<Option<EngineResult<CellOutcome>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
@@ -181,14 +135,24 @@ fn run_cells(
         pool.run(cells.len(), &|_worker, i| {
             let cell = &cells[i];
             let t0 = Instant::now();
-            let result = run_one(cell).map(|run| {
+            let mut fork = snapshot.fork().workers(1);
+            if let Some(seed) = cell.seed {
+                fork = fork.seed(seed);
+            }
+            if let Some(defense) = cell.defense {
+                fork = fork.defense(defense);
+            }
+            if let Some(recovery) = cell.recovery {
+                fork = fork.recovery(recovery);
+            }
+            let result = fork.run().map(|run| {
                 let run_s = t0.elapsed().as_secs_f64();
                 let t1 = Instant::now();
                 let digest = run.dataset_digest();
                 let stats = run.total_stats();
                 CellOutcome {
                     label: cell.label.clone(),
-                    seed: cell.seed.unwrap_or(base_seed),
+                    seed: cell.seed.unwrap_or(snapshot.seed()),
                     digest,
                     incidents: stats.incidents,
                     exploited: stats.exploited,
@@ -218,7 +182,7 @@ fn run_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhw_core::ScenarioConfig;
+    use mhw_core::{ScenarioConfig, ShardedEngine};
 
     fn config(seed: u64) -> ScenarioConfig {
         let mut config = ScenarioConfig::small_test(seed);
@@ -242,31 +206,13 @@ mod tests {
             SweepCell::baseline("strict-recovery").recovery(RecoveryConfig::strict()),
         ];
         let forked = fork_sweep(&snap, &cells, 2).expect("fork sweep");
-        let scratch = scratch_sweep(
-            &|cell| {
-                let mut config = config(7);
-                if let Some(seed) = cell.seed {
-                    config.seed = seed;
-                }
-                if let Some(defense) = cell.defense {
-                    config.defense = defense;
-                }
-                if let Some(recovery) = cell.recovery {
-                    config.recovery = recovery;
-                }
-                ShardedEngine::new(config, 2).workers(1).decoys(4, 6)
-            },
-            7,
-            &cells,
-            2,
-        )
-        .expect("scratch sweep");
+        let scratch = engine(7).run().expect("from-scratch run");
         assert_eq!(forked.len(), 4);
         for (cell, row) in cells.iter().zip(&forked) {
             assert_eq!(row.label, cell.label, "outcomes came back out of cell order");
         }
         // The baseline fork reproduces the from-scratch world exactly.
-        assert_eq!(forked[0].digest, scratch[0].digest);
+        assert_eq!(forked[0].digest, scratch.dataset_digest());
         assert_eq!(forked[0].seed, 7);
         // Divergent cells actually diverged.
         assert_ne!(forked[1].digest, forked[0].digest);

@@ -187,12 +187,11 @@ impl ScenarioConfig {
         }
     }
 
-    /// A scale-ladder configuration: `n_users` with per-user activity
-    /// turned down so wall-clock cost is dominated by the per-user
-    /// bookkeeping the ladder measures (state columns, log appends,
-    /// merges), not by lure volume. Used by the `scale_ladder` bench;
-    /// the attack pipeline stays enabled so hot paths are exercised
-    /// end to end.
+    /// A scale configuration: `n_users` with per-user activity turned
+    /// down so wall-clock cost is dominated by per-user bookkeeping
+    /// (state columns, log appends, merges), not by lure volume. Used
+    /// by the benchmark's scale-world workload; the attack pipeline
+    /// stays enabled so hot paths are exercised end to end.
     pub fn scale_world(seed: u64, n_users: usize, days: u64) -> Self {
         ScenarioConfig {
             seed,

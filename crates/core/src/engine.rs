@@ -67,13 +67,11 @@ use mhw_adversary::SessionReport;
 use mhw_defense::NotificationRecord;
 use mhw_identity::LoginRecord;
 use mhw_mailsys::MailEvent;
-use mhw_obs::{
-    span, EngineProfile, MetricId, MetricsSnapshot, PhaseProfiler, Registry, RunReport,
-};
+use mhw_obs::{EngineProfile, MetricId, MetricsSnapshot, PhaseProfiler, Registry, RunReport};
 use mhw_simclock::SimRng;
 use mhw_types::{
     CachePadded, CheckpointOp, CrewId, EngineError, EngineResult, Entry, Fnv1a, LogStore,
-    RetryPolicy, SimDuration, SimTime, SpillFile, DAY,
+    RetryPolicy, SimDuration, SimTime, DAY,
 };
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -828,8 +826,6 @@ impl Runtime<'_, '_> {
         let outcome = self.profiler.time("build", || {
             pool.run(k, &|_worker, i| {
                 let config = configs[i].lock().take().expect("build job claimed once");
-                let shard = config.shard;
-                let _span = span!("engine.build_shard", shard);
                 *built[i].lock() = Some(Ecosystem::build(config));
             })
         });
@@ -918,10 +914,7 @@ impl Runtime<'_, '_> {
                         ops.inc(M_FAULTS_INJECTED);
                         std::thread::sleep(Duration::from_millis(ms));
                     }
-                    let mut eco = slots[i].lock();
-                    let shard = eco.config.shard;
-                    let _span = span!("engine.shard_day", shard);
-                    eco.run_day(day);
+                    slots[i].lock().run_day(day);
                 })
             });
             drop(slots);
@@ -1314,25 +1307,6 @@ impl ShardedRun {
     /// All notification records, globally ordered.
     pub fn merged_notifications(&self) -> Vec<Entry<'_, NotificationRecord>> {
         LogStore::merge(self.shards.iter().map(|e| e.notifications.log_store()))
-    }
-
-    /// Stream the three merged event logs to `dir` (one file each:
-    /// `logins.log`, `mail_events.log`, `notifications.log`) and return
-    /// the spill receipts in that order. Each receipt's digest is
-    /// FNV-1a over its own file, newline-terminated lines included, and
-    /// [`mhw_types::read_spilled_digest`] re-derives it from disk, so
-    /// long-horizon runs can drop the in-memory merged views and later
-    /// check the files are intact. Spill digests are per file and
-    /// cannot reproduce [`dataset_digest`](Self::dataset_digest), which
-    /// hashes the lines without newlines and chains all three logs,
-    /// incidents, sessions and counters into one hash.
-    pub fn spill_logs(&self, dir: &Path) -> std::io::Result<Vec<SpillFile>> {
-        std::fs::create_dir_all(dir)?;
-        Ok(vec![
-            LogStore::spill(self.merged_logins(), &dir.join("logins.log"))?,
-            LogStore::spill(self.merged_mail_events(), &dir.join("mail_events.log"))?,
-            LogStore::spill(self.merged_notifications(), &dir.join("notifications.log"))?,
-        ])
     }
 
     /// All incidents, tagged with their shard id.

@@ -6,8 +6,8 @@
 //! threads through [`std::thread::scope`] *every simulated day* — a
 //! 90-day run at 8 workers paid 720 thread spawns, and the per-day
 //! static shard buckets meant one slow shard stalled its whole bucket.
-//! `BENCH_obs.json` showed the result: adding workers made runs
-//! *slower*. [`WorkerPool`] fixes both halves: threads are spawned once
+//! The engine's phase profile showed the result: adding workers made
+//! runs *slower*. [`WorkerPool`] fixes both halves: threads are spawned once
 //! per run and parked between dispatches, and work is claimed by an
 //! atomic next-job index so an idle worker steals whatever job is still
 //! unclaimed instead of waiting on a pre-assigned bucket.

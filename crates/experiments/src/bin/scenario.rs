@@ -25,7 +25,10 @@
 //! registry (T3, F8–F11, §5 — the rest need `repro --validate`'s
 //! companion runs) and the partial scorecard is printed and written to
 //! `--fidelity-out` when given. Only single-world runs can be scored;
-//! combining `--validate` with `--shards` > 1 is a usage error.
+//! combining `--validate` with `--shards` > 1 is a usage error. A
+//! one-shard run that the crash-safety or restore flags send through
+//! the engine is scored like the plain run, and writes the same
+//! scorecard.
 //!
 //! The crash-safety and restore flags (see `docs/REPRODUCING.md`)
 //! force the engine path even at `--shards 1` and compose freely:
@@ -277,21 +280,23 @@ fn run(args: &[String]) -> Result<(), Failure> {
     }
 
     if validate {
-        // Shards > 1 was rejected up front, so the run is single-world.
-        if let Run::Single(eco) = &run {
-            let report =
-                mhw_experiments::fidelity::validate_world(eco, mhw_experiments::Scale::Full, seed);
-            println!("\n{}", report.scorecard_markdown());
-            println!(
-                "(partial scorecard: world-derivable targets only — \
-                 `repro --validate` covers all {}.)",
-                mhw_experiments::fidelity::registry().len()
-            );
-            if let Some(path) = fidelity_out {
-                std::fs::write(&path, report.to_json())
-                    .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
-                eprintln!("wrote {path}");
-            }
+        // Shards > 1 was rejected up front, so the run has one world,
+        // whether it came from the plain path or the engine.
+        let report = mhw_experiments::fidelity::validate_world(
+            worlds[0],
+            mhw_experiments::Scale::Full,
+            seed,
+        );
+        println!("\n{}", report.scorecard_markdown());
+        println!(
+            "(partial scorecard: world-derivable targets only — \
+             `repro --validate` covers all {}.)",
+            mhw_experiments::fidelity::registry().len()
+        );
+        if let Some(path) = fidelity_out {
+            std::fs::write(&path, report.to_json())
+                .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
+            eprintln!("wrote {path}");
         }
     }
     Ok(())

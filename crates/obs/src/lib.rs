@@ -3,7 +3,7 @@
 //! The simulator's observability layer: every way to see *inside* a run
 //! without changing what the run produces.
 //!
-//! Three instruments, three different truths:
+//! Two instruments, two different truths:
 //!
 //! * [`Registry`] — exact, deterministic **metrics**: atomic counters,
 //!   gauges and fixed-bucket latency histograms keyed by a static
@@ -11,21 +11,17 @@
 //!   events, measured in simulated time, so per-shard registries merge
 //!   into a [`MetricsSnapshot`] that is byte-identical at any worker
 //!   count. These feed the end-of-run [`RunReport`].
-//! * [`trace`] — approximate, wall-clock **spans**: the
-//!   [`span!`] macro records how long a named region really took into a
-//!   fixed-capacity ring buffer. Spans are a debugging aid; they never
-//!   enter the deterministic report.
 //! * [`PhaseProfiler`] — wall-clock **phase timings** for the sharded
 //!   engine's coarse phases (world build, shard step, barrier drain,
-//!   log merge), aggregated into an [`EngineProfile`] that the bench
-//!   harness serializes for the perf trajectory.
+//!   log merge), aggregated into an [`EngineProfile`] that the
+//!   benchmark's scale-world workload reads for its per-layer times.
 //!
 //! The split matters: metrics are part of the engine's determinism
 //! contract (`tests/observability.rs` pins report bytes across 1/2/4/8
-//! workers), while spans and phase timings are explicitly allowed to
-//! vary run to run — they measure the hardware, not the scenario.
+//! workers), while phase timings are explicitly allowed to vary run to
+//! run — they measure the hardware, not the scenario.
 //!
-//! A fourth artifact rides on the same determinism contract: the
+//! A third artifact rides on the same determinism contract: the
 //! [`FidelityReport`] scorecard (`repro --validate`) that grades the
 //! regenerated figures and tables against the paper's published
 //! numbers — see [`fidelity`].
@@ -39,7 +35,6 @@ pub mod report;
 pub mod serve;
 pub mod snapshot;
 pub mod sweep;
-pub mod trace;
 
 pub use fidelity::{FidelityReport, FidelityStatus, TargetScore, Tolerance, FIDELITY_SCHEMA};
 pub use metric::{buckets, MetricId, Registry};
@@ -48,13 +43,12 @@ pub use report::RunReport;
 pub use serve::{ServeAvailability, ServeReport, ServeRun, ARM_CLEAN, SERVE_SCHEMA};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 pub use sweep::{SweepCellRow, SweepReport, SWEEP_SCHEMA};
-pub use trace::{SpanGuard, SpanRecord, TraceSink};
 
 /// Logical CPUs on this host, as `std::thread::available_parallelism`
 /// reports them (1 when the count cannot be determined). Hardware-bound
-/// artifacts ([`FidelityReport`], [`SweepReport`], `BENCH_scale.json`)
-/// record this so a reader can judge whether wall-clock numbers were
-/// taken on an oversubscribed machine.
+/// artifacts ([`FidelityReport`], [`SweepReport`]) record this so a
+/// reader can judge whether wall-clock numbers were taken on an
+/// oversubscribed machine.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

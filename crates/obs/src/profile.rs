@@ -3,12 +3,11 @@
 //! A [`PhaseProfiler`] accumulates how much real time each coarse
 //! engine phase consumed — world build, per-shard day steps, the
 //! single-threaded barrier exchange, the final log merge. The rendered
-//! [`EngineProfile`] is what `benches/engine_scaling.rs` serializes
-//! into `BENCH_obs.json`.
+//! [`EngineProfile`] is what the benchmark's scale-world workload reads
+//! for its per-layer times (`core.shard_day_ms` and friends).
 //!
-//! Phase timings are wall-clock and therefore vary run to run; like
-//! spans they are kept out of the deterministic
-//! [`RunReport`](crate::RunReport).
+//! Phase timings are wall-clock and therefore vary run to run; they
+//! are kept out of the deterministic [`RunReport`](crate::RunReport).
 
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};

@@ -1,17 +1,15 @@
-//! The serve-mode benchmark report (`BENCH_serve.json`).
+//! The serve-mode report (`BENCH_serve.json`).
 //!
-//! Where [`RunReport`](crate::report::RunReport) is deterministic by
-//! contract, a [`ServeReport`] deliberately measures the *hardware*:
-//! wall-clock throughput and scoring latency of replaying a login
-//! stream through per-thread `RiskService` instances. The only
-//! deterministic fields are the workload identity (seed, users, days,
-//! event count), each run's verdict digest, and — on fault arms — the
-//! whole [`ServeAvailability`] block (shed counts, degradation counts,
-//! breaker transitions, divergence from the clean arm); those are what
-//! CI can assert on. The timings are the perf trajectory: wall-clock
-//! nanoseconds on clean arms, *virtual* nanoseconds (queueing + the
-//! service's modeled scoring cost) on fault arms, so fault-arm latency
-//! quantiles are reproducible too.
+//! Every row comes from the same overload-safe replay loop, which
+//! reads no wall clock, so the whole report is deterministic for a
+//! fixed stream, fault plan and thread count: the workload identity
+//! (seed, users, days, event count), each run's verdict digest, its
+//! *virtual*-clock latency quantiles (queueing + the service's modeled
+//! scoring cost), its state footprint, and its [`ServeAvailability`]
+//! block (shed counts, degradation counts, breaker transitions,
+//! divergence from the clean arm). Wall-clock throughput and latency of
+//! the scoring path are measured by the benchmark's serve-replay
+//! workload, not here.
 
 use crate::snapshot::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
@@ -20,18 +18,22 @@ use serde::{Deserialize, Serialize};
 ///
 /// v2 added per-run `arm` labels and the optional `availability` block
 /// for fault arms, and widened the digest domain with the verdict
-/// fidelity byte.
-pub const SERVE_SCHEMA: &str = "mhw-serve/v2";
+/// fidelity byte. v3 dropped the wall-clock `wall_ms` and
+/// `logins_per_sec`, made latency virtual on every arm, and gave every
+/// row, the clean arm's included, an `availability` block.
+pub const SERVE_SCHEMA: &str = "mhw-serve/v3";
 
 /// The arm label for the unfaulted baseline run.
 pub const ARM_CLEAN: &str = "clean";
 
-/// Overload/degradation accounting for one fault arm: everything the
+/// Overload/degradation accounting for one arm: everything the
 /// resilient replay did besides scoring, all deterministic for a fixed
-/// stream, plan and thread count.
+/// stream, plan and thread count. On the clean arm the plan is empty,
+/// the deadline unlimited, and every count but `events_scored` is 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeAvailability {
-    /// The canonical fault-plan spec this arm injected.
+    /// The canonical fault-plan spec this arm injected (`(no faults)`
+    /// on the clean arm).
     pub fault_plan: String,
     /// Which request was dropped on queue overflow (`fifo` or
     /// `lowest-risk`).
@@ -85,13 +87,8 @@ pub struct ServeRun {
     pub threads: usize,
     /// Login events replayed (all shards together).
     pub events: u64,
-    /// Wall-clock replay time in milliseconds.
-    pub wall_ms: f64,
-    /// Aggregate throughput in logins per second (wall clock).
-    pub logins_per_sec: f64,
-    /// Median per-login latency in nanoseconds: wall-clock scoring time
-    /// on the clean arm, virtual time (queueing + modeled scoring cost)
-    /// on fault arms.
+    /// Median per-login latency in virtual nanoseconds (queueing +
+    /// modeled scoring cost).
     pub p50_ns: f64,
     /// 99th-percentile per-login latency in nanoseconds (same clock as
     /// [`ServeRun::p50_ns`]).
@@ -99,44 +96,42 @@ pub struct ServeRun {
     /// Mean per-login latency in nanoseconds (same clock as
     /// [`ServeRun::p50_ns`]).
     pub mean_ns: f64,
-    /// Peak bounded-state footprint across all shards, in bytes
-    /// (sampled between replay chunks).
+    /// Bounded-state footprint summed over all shards at the end of the
+    /// replay, in bytes.
     pub peak_state_bytes: u64,
-    /// Peak accounts with materialized history across all shards.
+    /// Accounts with materialized history across all shards at the end
+    /// of the replay.
     pub peak_accounts: u64,
-    /// Peak IP-cache entries across all shards (≤ capacity × shards).
+    /// IP-cache entries across all shards at the end of the replay
+    /// (≤ capacity × shards).
     pub peak_ip_entries: u64,
     /// Chained verdict digest over the replay (per-shard digests
     /// folded in shard order). Equal across repeat runs at the same
     /// thread count and arm; differs across thread counts because
     /// per-shard IP fan-out state partitions differently.
     pub verdict_digest: u64,
-    /// Overload accounting — present on fault arms only.
-    pub availability: Option<ServeAvailability>,
+    /// Overload accounting.
+    pub availability: ServeAvailability,
 }
 
 impl ServeRun {
-    /// Assemble one run's row from the merged latency histogram and
-    /// the measured wall time. `availability` stays `None` (the clean
-    /// arm); fault arms fill it in afterwards.
+    /// Assemble one run's row from the merged latency histogram.
     #[allow(clippy::too_many_arguments)]
     pub fn from_measurement(
         arm: &str,
         threads: usize,
         events: u64,
-        wall_ms: f64,
         latency: &HistogramSnapshot,
         peak_state_bytes: u64,
         peak_accounts: u64,
         peak_ip_entries: u64,
         verdict_digest: u64,
+        availability: ServeAvailability,
     ) -> Self {
         ServeRun {
             arm: arm.to_string(),
             threads,
             events,
-            wall_ms,
-            logins_per_sec: if wall_ms > 0.0 { events as f64 / (wall_ms / 1_000.0) } else { 0.0 },
             p50_ns: latency.quantile(0.50).unwrap_or(0.0),
             p99_ns: latency.quantile(0.99).unwrap_or(0.0),
             mean_ns: latency.mean().unwrap_or(0.0),
@@ -144,7 +139,7 @@ impl ServeRun {
             peak_accounts,
             peak_ip_entries,
             verdict_digest,
-            availability: None,
+            availability,
         }
     }
 }
@@ -224,48 +219,45 @@ mod tests {
     }
 
     #[test]
-    fn run_row_derives_throughput_and_quantiles() {
+    fn run_row_derives_quantiles() {
         let run = ServeRun::from_measurement(
-            ARM_CLEAN, 4, 1_000, 250.0, &latency(), 4096, 100, 64, 0xabc,
+            ARM_CLEAN,
+            4,
+            1_000,
+            &latency(),
+            4096,
+            100,
+            64,
+            0xabc,
+            availability(),
         );
-        assert_eq!(run.logins_per_sec, 4_000.0);
         assert_eq!(run.p50_ns, 100.0);
         assert!(run.p99_ns > run.p50_ns);
         assert_eq!(run.mean_ns, 600.0);
         assert_eq!(run.arm, "clean");
-        assert!(run.availability.is_none(), "clean arms carry no availability block");
     }
 
     #[test]
     fn report_round_trips_through_json() {
         let mut report = ServeReport::new(7, 200, 3, 1_000);
-        report.runs.push(ServeRun::from_measurement(
-            ARM_CLEAN, 1, 1_000, 500.0, &latency(), 4096, 100, 64, 0xabc,
-        ));
-        let mut faulted = ServeRun::from_measurement(
-            "geo-down@10..40",
-            1,
-            1_000,
-            500.0,
-            &latency(),
-            4096,
-            100,
-            64,
-            0xdef,
-        );
-        faulted.availability = Some(availability());
-        report.runs.push(faulted);
+        for (arm, digest) in [(ARM_CLEAN, 0xabc), ("geo-down@10..40", 0xdef)] {
+            report.runs.push(ServeRun::from_measurement(
+                arm,
+                1,
+                1_000,
+                &latency(),
+                4096,
+                100,
+                64,
+                digest,
+                availability(),
+            ));
+        }
         let json = report.to_json();
-        assert!(json.contains("\"schema\":\"mhw-serve/v2\""));
-        assert!(json.contains("\"availability\":null"), "clean arm serializes an empty block");
+        assert!(json.contains("\"schema\":\"mhw-serve/v3\""));
+        assert!(!json.contains("\"availability\":null"), "every arm carries availability");
         assert!(json.contains("\"breaker_opened\":1"));
         let back = ServeReport::from_json(&json).unwrap();
         assert_eq!(back, report);
-    }
-
-    #[test]
-    fn zero_wall_time_does_not_divide_by_zero() {
-        let run = ServeRun::from_measurement(ARM_CLEAN, 1, 10, 0.0, &latency(), 0, 0, 0, 0);
-        assert_eq!(run.logins_per_sec, 0.0);
     }
 }

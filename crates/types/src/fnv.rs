@@ -1,7 +1,7 @@
 //! FNV-1a — the workspace's one and only digest primitive.
 //!
 //! Every digest in the workspace — dataset digests, checkpoint state
-//! digests, RNG stream labels, spilled-log checksums — is 64-bit
+//! digests, RNG stream labels, serve verdict digests — is 64-bit
 //! FNV-1a. It is stable across platforms and Rust versions (unlike
 //! `DefaultHasher`), has no lookup tables or per-hasher allocation, and
 //! is cheap enough to run over every log record of a million-user

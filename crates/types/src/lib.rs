@@ -51,9 +51,7 @@ pub use ids::{
 };
 pub use intern::{DenseMap, Interner, Span, StrArena, Sym};
 pub use ip::{IpAddr, IpBlock};
-pub use log::{
-    read_spilled_digest, Entries, Entry, EventSink, LogKey, LogStore, ShardId, SpillFile, Stamped,
-};
+pub use log::{Entries, Entry, EventSink, LogKey, LogStore, ShardId, Stamped};
 pub use phone::PhoneNumber;
 pub use retry::RetryPolicy;
 pub use sync::CachePadded;

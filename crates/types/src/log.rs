@@ -47,25 +47,12 @@
 //! interleaves the k sorted streams in `O(n log k)`.
 //! [`LogStore::merge_into`] exposes the same merge over a caller-owned,
 //! pre-sized output buffer so repeated merges reuse one allocation.
-//!
-//! For worlds whose merged logs outgrow RAM, [`LogStore::spill`]
-//! streams a merged view to disk, one newline-terminated
-//! `"{key:?}|{record:?}"` line per entry, and returns a spill digest:
-//! [`Fnv1a`] over that file's bytes, which [`read_spilled_digest`]
-//! re-derives from disk to show the file is intact. A spill digest
-//! covers one file. It cannot reproduce the engine's dataset digest,
-//! which hashes the same lines without their newlines and chains all
-//! three logs, then incidents, sessions and run counters, into one
-//! hash.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt::Debug;
-use std::io::{BufRead, Write};
 use std::ops::Deref;
-use std::path::Path;
 
 /// Identifier of the logical shard a record was produced on.
 ///
@@ -456,82 +443,6 @@ impl<T> LogStore<T> {
     }
 }
 
-impl<T: Debug> LogStore<T> {
-    /// Stream a merged view to `path`, one `"{key:?}|{record:?}\n"`
-    /// line per entry. The returned [`SpillFile::digest`] is FNV-1a
-    /// over exactly the bytes written, newlines included, and
-    /// [`read_spilled_digest`] re-derives it from disk later without
-    /// holding the log in RAM. It is a per-file digest, not the
-    /// engine's dataset digest (see the module docs).
-    pub fn spill<'a>(
-        entries: impl IntoIterator<Item = Entry<'a, T>>,
-        path: &Path,
-    ) -> std::io::Result<SpillFile>
-    where
-        T: 'a,
-    {
-        let file = std::fs::File::create(path)?;
-        let mut writer = std::io::BufWriter::new(file);
-        let mut digest = Fnv1a::new();
-        let mut lines = 0u64;
-        let mut bytes = 0u64;
-        let mut line = String::new();
-        for e in entries {
-            use std::fmt::Write as _;
-            line.clear();
-            writeln!(line, "{:?}|{:?}", e.key, e.record).expect("format entry");
-            digest.write(line.as_bytes());
-            writer.write_all(line.as_bytes())?;
-            lines += 1;
-            bytes += line.len() as u64;
-        }
-        writer.flush()?;
-        Ok(SpillFile {
-            path: path.display().to_string(),
-            lines,
-            bytes,
-            digest: digest.finish(),
-        })
-    }
-}
-
-/// Receipt for one spilled log: where it went, how much, and the FNV
-/// digest of the file's bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpillFile {
-    /// Where the merged log landed (display form of the spill path,
-    /// kept as a `String` so the receipt serializes into bench JSON).
-    pub path: String,
-    /// Number of entries (one line each).
-    pub lines: u64,
-    /// Total bytes written.
-    pub bytes: u64,
-    /// FNV-1a digest over every written byte.
-    pub digest: u64,
-}
-
-/// Re-digest a spilled log from disk, streaming line by line, returning
-/// `(lines, digest)`. Matching the [`SpillFile`] the spill returned
-/// proves the on-disk copy is intact and byte-equivalent to the
-/// in-memory merged view it replaced.
-pub fn read_spilled_digest(path: &Path) -> std::io::Result<(u64, u64)> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut digest = Fnv1a::new();
-    let mut lines = 0u64;
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let n = reader.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            break;
-        }
-        digest.write(&buf);
-        lines += 1;
-    }
-    Ok((lines, digest.finish()))
-}
-
 pub use crate::fnv::Fnv1a;
 
 /// Borrowing iterator over a segment's entries, reassembling each
@@ -728,32 +639,6 @@ mod tests {
         let mut log = LogStore::new();
         emit_twice(&mut log);
         assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn spill_then_read_preserves_the_digest() {
-        let mut a = LogStore::for_shard(0);
-        let mut b = LogStore::for_shard(1);
-        for i in 0..200u64 {
-            a.append(SimTime::from_secs(3 * i), format!("a{i}"));
-            b.append(SimTime::from_secs(3 * i + 1), format!("b{i}"));
-        }
-        let merged = LogStore::merge([&a, &b]);
-        // The in-memory reference digest: hash the same lines directly.
-        let mut reference = Fnv1a::new();
-        for e in &merged {
-            reference.write(format!("{:?}|{:?}\n", e.key, e.record).as_bytes());
-        }
-        let dir = std::env::temp_dir().join(format!("mhw-spill-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("merged.log");
-        let spilled = LogStore::spill(merged.iter().copied(), &path).unwrap();
-        assert_eq!(spilled.lines, 400);
-        assert_eq!(spilled.digest, reference.finish(), "spill digest != in-memory digest");
-        let (lines, digest) = read_spilled_digest(&path).unwrap();
-        assert_eq!(lines, spilled.lines);
-        assert_eq!(digest, spilled.digest, "on-disk re-digest diverged");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -52,27 +52,37 @@ echo "== restore =="
 # run's. A diverged restore cannot write checkpoints: usage error, exit 2.
 scenario() {
     cargo run --offline --release -q -p mhw-experiments --bin scenario -- \
-        --users 400 --days 6 --shards 2 --workers 1 "$@" >/dev/null
+        --users 400 --days 6 --workers 1 "$@" >/dev/null
 }
-scenario --report "$fidelity_tmp/uninterrupted.json"
+scenario --shards 2 --report "$fidelity_tmp/uninterrupted.json"
 status=0
-scenario --checkpoint-dir "$fidelity_tmp/ckpts" --checkpoint-every 2 \
+scenario --shards 2 --checkpoint-dir "$fidelity_tmp/ckpts" --checkpoint-every 2 \
     --fault-plan panic@3.0 2>"$fidelity_tmp/crash.log" || status=$?
 if [ "$status" -ne 1 ] || ! grep -q "injected fault" "$fidelity_tmp/crash.log"; then
     echo "the injected panic should exit 1, got $status:" >&2
     cat "$fidelity_tmp/crash.log" >&2
     exit 1
 fi
-scenario --fork-from "$fidelity_tmp/ckpts/ckpt-day00002.mhw" \
+scenario --shards 2 --fork-from "$fidelity_tmp/ckpts/ckpt-day00002.mhw" \
     --report "$fidelity_tmp/restored.json"
 cmp "$fidelity_tmp/uninterrupted.json" "$fidelity_tmp/restored.json"
 status=0
-scenario --fork-from "$fidelity_tmp/ckpts/ckpt-day00002.mhw" --fork-seed 7 \
+scenario --shards 2 --fork-from "$fidelity_tmp/ckpts/ckpt-day00002.mhw" --fork-seed 7 \
     --checkpoint-dir "$fidelity_tmp/ckpts" 2>/dev/null || status=$?
 if [ "$status" -ne 2 ]; then
     echo "--fork-seed with --checkpoint-dir should be a usage error (exit 2), got $status" >&2
     exit 1
 fi
+# --validate scores one world. At one shard the plain run skips the
+# engine and a checkpointed or restored run goes through it; all three
+# must write the same scorecard.
+scenario --shards 1 --validate --fidelity-out "$fidelity_tmp/plain.fidelity.json"
+scenario --shards 1 --checkpoint-dir "$fidelity_tmp/ckpts1" --checkpoint-every 2 \
+    --validate --fidelity-out "$fidelity_tmp/uninterrupted.fidelity.json"
+scenario --shards 1 --fork-from "$fidelity_tmp/ckpts1/ckpt-day00002.mhw" \
+    --validate --fidelity-out "$fidelity_tmp/restored.fidelity.json"
+cmp "$fidelity_tmp/plain.fidelity.json" "$fidelity_tmp/uninterrupted.fidelity.json"
+cmp "$fidelity_tmp/plain.fidelity.json" "$fidelity_tmp/restored.fidelity.json"
 
 echo "== docs links =="
 # Every intra-repo markdown link (and anchor) must resolve.
@@ -80,11 +90,16 @@ scripts/check_links.sh
 
 echo "== serve-smoke =="
 # Serve-mode gate: generate the small workload, replay it through
-# per-thread RiskService instances on 1 and 2 threads, and verify the
-# written BENCH_serve.json parses with nonzero throughput. Usage
-# errors exit 2, runtime failures exit 1 (shared cli contract).
-cargo run --offline --release -p mhw-experiments --bin serve -- \
-    --smoke --out "$fidelity_tmp/BENCH_serve.json"
+# per-thread RiskService instances on 1 and 2 threads, and check the
+# written BENCH_serve.json: on every arm, scored plus shed events equal
+# all events, and the clean arm sheds and degrades nothing. The report
+# reads no wall clock, so a second run must write the same bytes.
+# Usage errors exit 2, runtime failures exit 1 (shared cli contract).
+for run in 1 2; do
+    cargo run --offline --release -q -p mhw-experiments --bin serve -- \
+        --smoke --out "$fidelity_tmp/BENCH_serve.$run.json"
+done
+cmp "$fidelity_tmp/BENCH_serve.1.json" "$fidelity_tmp/BENCH_serve.2.json"
 
 echo "== serve-chaos =="
 # Overload gate: the same smoke workload with a seeded fault plan (one
@@ -104,32 +119,6 @@ echo "== sweep-smoke =="
 # BENCH_sweep.json — that comes from a full `sweep` run (docs/SWEEPS.md).
 cargo run --offline --release -p mhw-experiments --bin sweep -- \
     --smoke --out "$fidelity_tmp/BENCH_sweep.json"
-
-echo "== bench-smoke =="
-# Scaling smoke: profile the engine at 1/2/4/8 workers on a small
-# scenario, write BENCH_scaling.json into the temp dir and read it
-# back. Does not rewrite the committed BENCH_scaling.json. The bench
-# itself prints a non-fatal warning if a multi-worker shard_day exceeds
-# the 1-worker baseline (CI timing is noisy, so this never fails the
-# gate).
-TMPDIR="$fidelity_tmp" cargo bench --offline -p mhw-bench --bench engine_scaling -- --smoke
-
-echo "== bench-scale =="
-# Scale-ladder smoke: one miniature rung through the ladder's
-# child-process machinery (VmHWM sampling, row parsing, and the fatal
-# cross-worker digest assertion). Does not rewrite BENCH_scale.json —
-# the committed ladder comes from a full `cargo bench --bench
-# scale_ladder` run (see docs/SCALING.md).
-cargo bench --offline -p mhw-bench --bench scale_ladder -- --smoke
-
-echo "== bench-fork =="
-# Fork-sweep smoke: a miniature 4-cell grid through both sweep arms —
-# fork continuations off a shared prefix vs build each cell from
-# scratch — including the fatal baseline-digest cross-check (a fork
-# must never change semantics). Does not rewrite BENCH_fork.json —
-# the committed artifact comes from a full `cargo bench --bench
-# fork_sweep` run (see docs/REPRODUCING.md).
-cargo bench --offline -p mhw-bench --bench fork_sweep -- --smoke
 
 echo "== digest pins =="
 # Absolute digests. Every test above compares dataset digests across

@@ -4,8 +4,8 @@
 //! every quantity in a [`RunReport`] is a sim-time fact — a function of
 //! the scenario (seed, shards, days, population) alone — so its JSON
 //! serialisation must be byte-for-byte identical at any worker count.
-//! Wall-clock observability (spans, phase profiles) lives in separate
-//! artifacts and is deliberately absent from the report.
+//! Wall-clock observability (the engine's phase profile) is
+//! deliberately absent from the report.
 
 use manual_hijacking_wild::prelude::*;
 

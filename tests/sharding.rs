@@ -47,6 +47,33 @@ fn worker_count_never_changes_the_dataset() {
 }
 
 #[test]
+fn worker_count_never_changes_a_scale_world() {
+    // The scale preset turns per-user activity down and leaves the
+    // credential market off, so without `market_share` no credential
+    // ever crosses a shard and the digest check would cover only
+    // shard-local state.
+    let run = |workers: usize| {
+        let mut config = ScenarioConfig::scale_world(0x5CA7E, 2_000, 12);
+        config.market_share = 0.3;
+        ShardedEngine::new(config, 8)
+            .workers(workers)
+            .contact_spillover(0.25)
+            .decoys(12, 12)
+            .run()
+            .expect("engine run")
+    };
+    let baseline = run(1);
+    assert!(baseline.market_trades > 0, "no cross-shard market trades: the test has no teeth");
+    for workers in [4, 8] {
+        assert_eq!(
+            run(workers).dataset_digest(),
+            baseline.dataset_digest(),
+            "scale-world digest diverged at {workers} workers"
+        );
+    }
+}
+
+#[test]
 fn work_stealing_keeps_the_digest_under_extreme_imbalance() {
     // One shard carries ~10x the population of its three peers, so any
     // static bucket assignment would leave workers idle and any
