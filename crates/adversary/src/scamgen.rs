@@ -236,7 +236,7 @@ mod tests {
                     id: MessageId(0),
                     owner: AccountId(0),
                     from: EmailAddress::new("victim", "homemail.com"),
-                    to: vec![],
+                    to: vec![].into(),
                     subject: subject.into(),
                     body: body.into(),
                     attachments: vec![],

@@ -44,7 +44,7 @@ use mhw_types::{
     AccountId, Actor, CampaignId, CrewId, DenseMap, EmailAddress, IncidentId, MessageId, PageId,
     SimDuration, SimTime, Span, StrArena, DAY, HOUR,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -72,13 +72,14 @@ const NO_INCIDENT: u32 = u32::MAX;
 /// dense account index.
 ///
 /// The daily loop touches every user several times (travel flag at
-/// scheduling, password + incident checks per login, awareness and
-/// claim timers at every sweep), so each field lives in its own column:
-/// a scan reads only the bytes it needs, and a million users cost a
-/// handful of flat allocations instead of a million scattered structs.
-/// Known passwords are spans into one shared [`StrArena`]; the rare
-/// cold field (failed recovery methods for an open incident) lives in a
-/// side table keyed by account index.
+/// scheduling, password + incident checks per login), so each field
+/// lives in its own column: a scan reads only the bytes it needs, and a
+/// million users cost a handful of flat allocations instead of a
+/// million scattered structs. Claim sweeps read the awareness and claim
+/// timers of the users in `open_incidents` only. Known passwords are
+/// spans into one shared [`StrArena`]; the rare cold field (failed
+/// recovery methods for an open incident) lives in a side table keyed
+/// by account index.
 #[derive(Debug, Clone, Default)]
 struct UserStates {
     /// The password each user believes is theirs (span into `arena`).
@@ -90,8 +91,12 @@ struct UserStates {
     /// Next recovery-claim attempt.
     next_claim_at: Vec<Option<SimTime>>,
     claim_attempts: Vec<u32>,
-    /// Index into [`Ecosystem::incidents`], or [`NO_INCIDENT`].
+    /// Index into [`Ecosystem::incidents`], or [`NO_INCIDENT`]. Written
+    /// only through `open_incident` and `close_incident`.
     active_incident: Vec<u32>,
+    /// The users whose `active_incident` is set, ascending: the only
+    /// users a claim sweep can file for, and few of them on any day.
+    open_incidents: BTreeSet<u32>,
     /// Cold side table: methods that already failed for the active
     /// incident (empty for almost every user on almost every day).
     failed_methods: HashMap<u32, Vec<mhw_recovery::RecoveryMethod>>,
@@ -141,9 +146,42 @@ impl UserStates {
         }
     }
 
+    /// Make `incident` user `i`'s active incident.
+    fn open_incident(&mut self, i: usize, incident: usize) {
+        self.active_incident[i] = incident as u32;
+        self.open_incidents.insert(i as u32);
+    }
+
+    /// Detach user `i` from its incident, keeping the claim state.
+    fn close_incident(&mut self, i: usize) {
+        self.active_incident[i] = NO_INCIDENT;
+        self.open_incidents.remove(&(i as u32));
+    }
+
+    /// Whether `open_incidents` lists exactly the users whose
+    /// `active_incident` is set.
+    fn open_incidents_match_column(&self) -> bool {
+        let column = (0..self.len()).filter(|&i| self.active_incident[i] != NO_INCIDENT);
+        self.open_incidents.iter().map(|&i| i as usize).eq(column)
+    }
+
+    /// Whether user `i` files a recovery claim at `at`: an open
+    /// incident, attempts left, aware of the hijack, and past the next
+    /// claim time.
+    fn claim_due(&self, i: usize, at: SimTime) -> bool {
+        if self.active_incident(i).is_none() || self.claim_attempts[i] >= 8 {
+            return false;
+        }
+        match (self.aware_at[i], self.next_claim_at[i]) {
+            (Some(aw), Some(next)) => aw <= at && next <= at,
+            (Some(aw), None) => aw <= at,
+            _ => false,
+        }
+    }
+
     /// Reset all per-incident state after a successful recovery.
     fn clear_incident(&mut self, i: usize) {
-        self.active_incident[i] = NO_INCIDENT;
+        self.close_incident(i);
         self.aware_at[i] = None;
         self.next_claim_at[i] = None;
         self.claim_attempts[i] = 0;
@@ -1486,7 +1524,7 @@ impl Ecosystem {
         self.obs.inc(M_INCIDENTS);
         self.incidents.push(incident);
         if account.index() < self.users.len() {
-            self.users.active_incident[account.index()] = incident_index as u32;
+            self.users.open_incident(account.index(), incident_index);
             self.schedule_awareness(incident_index);
         }
     }
@@ -1555,23 +1593,21 @@ impl Ecosystem {
 
     // ---- recovery ----
 
+    /// File every claim due at `at`, in ascending account order. Only
+    /// users with an open incident can be due, so the sweep visits
+    /// those alone.
     fn claim_sweep(&mut self, at: SimTime) {
-        let due: Vec<AccountId> = self
-            .population
-            .users
+        debug_assert!(
+            self.users.open_incidents_match_column(),
+            "the open-incident set disagrees with the incident column"
+        );
+        let users = &self.users;
+        let due: Vec<AccountId> = users
+            .open_incidents
             .iter()
-            .map(|u| u.account)
-            .filter(|a| {
-                let i = a.index();
-                if self.users.active_incident(i).is_none() || self.users.claim_attempts[i] >= 8 {
-                    return false;
-                }
-                match (self.users.aware_at[i], self.users.next_claim_at[i]) {
-                    (Some(aw), Some(next)) => aw <= at && next <= at,
-                    (Some(aw), None) => aw <= at,
-                    _ => false,
-                }
-            })
+            .map(|&i| i as usize)
+            .filter(|&i| users.claim_due(i, at))
+            .map(AccountId::from_index)
             .collect();
         for account in due {
             self.file_claim(account, at);
@@ -1594,7 +1630,7 @@ impl Ecosystem {
             )
         };
         if recovered {
-            self.users.active_incident[account.index()] = NO_INCIDENT;
+            self.users.close_incident(account.index());
             return;
         }
         let trigger = if disabled_at.is_some() {

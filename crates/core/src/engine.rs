@@ -700,19 +700,13 @@ impl ShardedEngine {
     }
 
     /// Package a barrier at the scenario's last day as the public
-    /// [`ShardedRun`], timing a representative merge of the three event
-    /// logs so the profile reflects end-to-end cost (the merged views
-    /// are cheap borrows and are rebuilt on demand by the accessors).
-    fn finish(&self, barrier: Barrier, mut profiler: PhaseProfiler, ops: Registry) -> ShardedRun {
+    /// [`ShardedRun`]. The logs stay per shard: the accessors and
+    /// `dataset_digest` merge them on demand.
+    fn finish(&self, barrier: Barrier, profiler: PhaseProfiler, ops: Registry) -> ShardedRun {
         let market_trades = barrier.market_trades();
         let cross_shard_lures = barrier.cross_shard_lures();
         let Barrier { shards, metrics, .. } = barrier;
         let shards: Vec<Ecosystem> = shards.into_iter().map(CachePadded::into_inner).collect();
-        profiler.time("log_merge", || {
-            let _ = LogStore::merge(shards.iter().map(|e| e.login_log.store()));
-            let _ = LogStore::merge(shards.iter().map(|e| e.provider.log_store()));
-            let _ = LogStore::merge(shards.iter().map(|e| e.notifications.log_store()));
-        });
         ShardedRun {
             shards,
             market_trades,
@@ -1422,8 +1416,8 @@ impl ShardedRun {
     }
 
     /// Wall-clock per-phase profile of the run (world build, parallel
-    /// shard days, barrier exchange, log merge). Pure mechanics: useful
-    /// for benchmarking, deliberately **not** part of [`RunReport`].
+    /// shard days, barrier exchange). Pure mechanics: useful for
+    /// benchmarking, deliberately **not** part of [`RunReport`].
     pub fn profile(&self) -> EngineProfile {
         self.profiler.report(self.n_shards, self.workers)
     }
@@ -1534,7 +1528,7 @@ mod tests {
         let run = ShardedEngine::new(tiny(9), 2).workers(2).run().unwrap();
         let profile = run.profile();
         let phases: Vec<&str> = profile.phases.iter().map(|p| p.phase.as_str()).collect();
-        assert_eq!(phases, vec!["build", "shard_day", "barrier_exchange", "log_merge"]);
+        assert_eq!(phases, vec!["build", "shard_day", "barrier_exchange"]);
         assert_eq!(profile.workers, 2);
         // One timing per day for the in-loop phases.
         assert_eq!(profile.phases[1].calls, 4);

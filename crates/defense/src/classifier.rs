@@ -155,7 +155,7 @@ mod tests {
             id: MessageId(0),
             owner: AccountId(0),
             from: EmailAddress::new("x", "y.com"),
-            to: vec![],
+            to: vec![].into(),
             subject: subject.into(),
             body: body.into(),
             attachments: vec![],

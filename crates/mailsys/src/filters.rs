@@ -113,7 +113,7 @@ mod tests {
             id: MessageId(1),
             owner: AccountId(0),
             from: EmailAddress::new(from, "x.com"),
-            to: vec![],
+            to: vec![].into(),
             subject: subject.into(),
             body: "".into(),
             attachments: vec![],
@@ -260,7 +260,7 @@ mod proptests {
             id: MessageId(0),
             owner: AccountId(0),
             from: EmailAddress::new("someone", "x.com"),
-            to: vec![],
+            to: vec![].into(),
             subject: subject.into(),
             body: "".into(),
             attachments: vec![],

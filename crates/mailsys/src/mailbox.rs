@@ -266,6 +266,12 @@ impl Mailbox {
         }
     }
 
+    /// Make room for `additional` more contacts in one allocation, so a
+    /// list built in one go is allocated once.
+    pub fn reserve_contacts(&mut self, additional: usize) {
+        self.contacts.reserve_exact(additional);
+    }
+
     pub fn contacts(&self) -> &[ContactEntry] {
         &self.contacts
     }
@@ -310,7 +316,7 @@ mod tests {
             id: MessageId(id),
             owner: AccountId(0),
             from: EmailAddress::new("from", "x.com"),
-            to: vec![],
+            to: vec![].into(),
             subject: format!("subject {id}").into(),
             body: "body".into(),
             attachments: vec![],

@@ -92,14 +92,15 @@ impl MessageDraft {
 ///
 /// Subject and body are shared: the provider deduplicates message text,
 /// so a Sent copy, its delivered copies and every repeat of a template
-/// point at one allocation.
+/// point at one allocation. One send's recipient list is shared the
+/// same way by its Sent copy and every delivered copy.
 #[derive(Debug, Clone)]
 pub struct Message {
     pub id: MessageId,
     /// Owning mailbox.
     pub owner: AccountId,
     pub from: EmailAddress,
-    pub to: Vec<EmailAddress>,
+    pub to: Arc<[EmailAddress]>,
     pub subject: Arc<str>,
     pub body: Arc<str>,
     pub attachments: Vec<String>,
@@ -163,7 +164,7 @@ mod tests {
             id: MessageId(0),
             owner: AccountId(0),
             from: EmailAddress::new("a", "x.com"),
-            to: vec![EmailAddress::new("b", "y.com")],
+            to: vec![EmailAddress::new("b", "y.com")].into(),
             subject: subject.into(),
             body: body.into(),
             attachments: attachments.into_iter().map(String::from).collect(),

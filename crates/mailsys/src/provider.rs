@@ -89,10 +89,12 @@ impl Default for MailProvider {
     }
 }
 
-/// A draft's subject and body after deduplication.
+/// What every copy of one send shares: the deduplicated subject and
+/// body, and one recipient list.
 struct SharedText {
     subject: Arc<str>,
     body: Arc<str>,
+    to: Arc<[EmailAddress]>,
 }
 
 impl SharedText {
@@ -109,7 +111,7 @@ impl SharedText {
             id,
             owner,
             from,
-            to: draft.to.clone(),
+            to: Arc::clone(&self.to),
             subject: Arc::clone(&self.subject),
             body: Arc::clone(&self.body),
             attachments: draft.attachments.clone(),
@@ -177,7 +179,8 @@ impl MailProvider {
         &self.accounts[id.index()].mailbox
     }
 
-    /// Mutable mailbox access (remission restore operations).
+    /// Mutable mailbox access (remission restores; sizing contact lists
+    /// at build).
     pub fn mailbox_mut(&mut self, id: AccountId) -> &mut Mailbox {
         &mut self.accounts[id.index()].mailbox
     }
@@ -218,9 +221,14 @@ impl MailProvider {
         shared
     }
 
-    /// A draft's subject and body as shared text.
+    /// A draft's subject and body as shared text, and its recipients
+    /// as one list.
     fn share_text(&mut self, draft: &MessageDraft) -> SharedText {
-        SharedText { subject: self.share(&draft.subject), body: self.share(&draft.body) }
+        SharedText {
+            subject: self.share(&draft.subject),
+            body: self.share(&draft.body),
+            to: Arc::from(draft.to.as_slice()),
+        }
     }
 
     // ---- sending & delivery ----

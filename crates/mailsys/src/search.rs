@@ -125,7 +125,7 @@ mod tests {
             id: MessageId(id),
             owner: AccountId(0),
             from: EmailAddress::new("from", "x.com"),
-            to: vec![],
+            to: vec![].into(),
             subject: subject.into(),
             body: body.into(),
             attachments: attachments.into_iter().map(String::from).collect(),

@@ -12,9 +12,9 @@
 //!   into a [`MetricsSnapshot`] that is byte-identical at any worker
 //!   count. These feed the end-of-run [`RunReport`].
 //! * [`PhaseProfiler`] — wall-clock **phase timings** for the sharded
-//!   engine's coarse phases (world build, shard step, barrier drain,
-//!   log merge), aggregated into an [`EngineProfile`] that the
-//!   benchmark's scale-world workload reads for its per-layer times.
+//!   engine's coarse phases (world build, shard step, barrier drain),
+//!   aggregated into an [`EngineProfile`] that the benchmark's
+//!   scale-world workload reads for its per-layer times.
 //!
 //! The split matters: metrics are part of the engine's determinism
 //! contract (`tests/observability.rs` pins report bytes across 1/2/4/8

@@ -2,9 +2,9 @@
 //!
 //! A [`PhaseProfiler`] accumulates how much real time each coarse
 //! engine phase consumed — world build, per-shard day steps, the
-//! single-threaded barrier exchange, the final log merge. The rendered
-//! [`EngineProfile`] is what the benchmark's scale-world workload reads
-//! for its per-layer times (`core.shard_day_ms` and friends).
+//! single-threaded barrier exchange. The rendered [`EngineProfile`] is
+//! what the benchmark's scale-world workload reads for its per-layer
+//! times (`core.shard_day_ms` and friends).
 //!
 //! Phase timings are wall-clock and therefore vary run to run; they
 //! are kept out of the deterministic [`RunReport`](crate::RunReport).

@@ -76,6 +76,10 @@ impl Default for PopulationConfig {
     }
 }
 
+/// Each user also knows up to this many addresses off the home
+/// provider.
+const MAX_EXTERNAL_CONTACTS: usize = 3;
+
 /// Country mix of the user base (victims are worldwide; weights roughly
 /// track large mail providers' user distribution, with enough
 /// French/Spanish speakers for the crews' language-targeting to matter).
@@ -218,7 +222,11 @@ impl<'a> PopulationBuilder<'a> {
             rng,
         );
         for u in &users {
-            for contact in graph.contacts_of(u.account) {
+            let contacts = graph.contacts_of(u.account);
+            self.provider
+                .mailbox_mut(u.account)
+                .reserve_contacts(contacts.len() + MAX_EXTERNAL_CONTACTS);
+            for contact in contacts {
                 let entry = ContactEntry {
                     address: self.provider.address_of(*contact).clone(),
                     internal: Some(*contact),
@@ -226,7 +234,7 @@ impl<'a> PopulationBuilder<'a> {
                 self.provider.add_contact(u.account, entry);
             }
             // A few external contacts too.
-            let n_ext = rng.below(4);
+            let n_ext = rng.below(MAX_EXTERNAL_CONTACTS as u64 + 1);
             for j in 0..n_ext {
                 let addr = self.domains.random_external_address(
                     rng,

@@ -7,8 +7,10 @@
 //! captures that distinction so the population model can assign addresses
 //! and the phishing model can modulate delivery rates.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// How an address's mail domain is operated — the property that §4.2
 /// identifies as controlling spam-filter quality.
@@ -40,10 +42,19 @@ impl EmailDomainClass {
 
 /// A structured email address: `local@domain`, where the final dot-label
 /// of the domain is the TLD used in Figure 4's breakdown.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// An address is a shared handle. One `Arc<str>` holds `local@domain`,
+/// so every clone of it (the provider's interner, the user profile,
+/// contact lists, each stored copy's sender and recipients) points at
+/// one allocation. Equality, hashing, `Debug` and the JSON form are
+/// those of the two parts, exactly as if they were two `String` fields.
+#[derive(Clone)]
 pub struct EmailAddress {
-    local: String,
-    domain: String,
+    /// `local@domain`.
+    text: Arc<str>,
+    /// Byte offset of the separating `@`. A local part may hold an `@`
+    /// of its own, so the offset is stored, not searched for.
+    at: u32,
 }
 
 impl EmailAddress {
@@ -51,10 +62,22 @@ impl EmailAddress {
     /// simulator treats addresses case-insensitively like real MTAs treat
     /// domains (and like Gmail treats locals).
     pub fn new(local: impl Into<String>, domain: impl Into<String>) -> Self {
-        EmailAddress {
-            local: local.into().to_ascii_lowercase(),
-            domain: domain.into().to_ascii_lowercase(),
-        }
+        let mut local = local.into();
+        let mut domain = domain.into();
+        local.make_ascii_lowercase();
+        domain.make_ascii_lowercase();
+        EmailAddress::from_parts(&local, &domain).expect("local part shorter than 4 GiB")
+    }
+
+    /// The address with exactly these parts, as given; `None` when the
+    /// local part is too long for a `u32` offset.
+    fn from_parts(local: &str, domain: &str) -> Option<Self> {
+        let at = u32::try_from(local.len()).ok()?;
+        let mut text = String::with_capacity(local.len() + 1 + domain.len());
+        text.push_str(local);
+        text.push('@');
+        text.push_str(domain);
+        Some(EmailAddress { text: Arc::from(text), at })
     }
 
     /// Parse `local@domain`. Returns `None` unless there is exactly one
@@ -72,18 +95,19 @@ impl EmailAddress {
 
     /// The local part (before the `@`).
     pub fn local(&self) -> &str {
-        &self.local
+        &self.text[..self.at as usize]
     }
 
     /// The domain part (after the `@`).
     pub fn domain(&self) -> &str {
-        &self.domain
+        &self.text[self.at as usize + 1..]
     }
 
     /// The top-level domain (final label), e.g. `edu` for
     /// `alice@cs.example.edu`. This is the unit of Figure 4.
     pub fn tld(&self) -> &str {
-        self.domain.rsplit('.').next().unwrap_or(&self.domain)
+        let domain = self.domain();
+        domain.rsplit('.').next().unwrap_or(domain)
     }
 
     /// A crude similarity used by the doppelganger model (§5.4): same
@@ -94,16 +118,65 @@ impl EmailAddress {
         if self == victim {
             return false;
         }
-        if self.local == victim.local && self.domain != victim.domain {
+        if self.local() == victim.local() && self.domain() != victim.domain() {
             return true;
         }
-        self.domain == victim.domain && edit_distance_at_most_one(&self.local, &victim.local)
+        self.domain() == victim.domain() && edit_distance_at_most_one(self.local(), victim.local())
+    }
+}
+
+impl PartialEq for EmailAddress {
+    fn eq(&self, other: &Self) -> bool {
+        // Same text and same split is the same pair of parts.
+        self.at == other.at && self.text == other.text
+    }
+}
+
+impl Eq for EmailAddress {}
+
+impl Hash for EmailAddress {
+    /// Hashes the parts in order, as the derive over two `String`
+    /// fields did.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.local().hash(state);
+        self.domain().hash(state);
+    }
+}
+
+impl fmt::Debug for EmailAddress {
+    /// The derived form over two `String` fields:
+    /// `EmailAddress { local: "…", domain: "…" }`. Dataset digests hash
+    /// this text.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EmailAddress")
+            .field("local", &self.local())
+            .field("domain", &self.domain())
+            .finish()
     }
 }
 
 impl fmt::Display for EmailAddress {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.local, self.domain)
+        f.write_str(&self.text)
+    }
+}
+
+/// The JSON form is the object `{"local": …, "domain": …}`.
+impl Serialize for EmailAddress {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("local".to_string(), Value::Str(self.local().to_string())),
+            ("domain".to_string(), Value::Str(self.domain().to_string())),
+        ])
+    }
+}
+
+/// Reads the parts as stored, without lower-casing them again.
+impl Deserialize for EmailAddress {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let part = |key| String::from_value(v.get(key).unwrap_or(&Value::Null));
+        EmailAddress::from_parts(&part("local")?, &part("domain")?)
+            .ok_or_else(|| serde::Error::custom("local part longer than 4 GiB"))
     }
 }
 
@@ -207,6 +280,103 @@ mod tests {
         assert!(!edit_distance_at_most_one("abc", "a"));
         assert!(edit_distance_at_most_one("", "a"));
         assert!(!edit_distance_at_most_one("", "ab"));
+    }
+
+    /// The layout the handle replaced, with its derived traits.
+    mod two_strings {
+        #[derive(Debug, serde::Serialize, PartialEq, Eq, Hash)]
+        pub struct EmailAddress {
+            pub local: String,
+            pub domain: String,
+        }
+    }
+
+    fn two_strings(a: &EmailAddress) -> two_strings::EmailAddress {
+        two_strings::EmailAddress { local: a.local().to_string(), domain: a.domain().to_string() }
+    }
+
+    fn hash_of(x: &impl Hash) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// Parts with quotes, backslashes, newlines and non-ASCII text.
+    fn awkward() -> Vec<EmailAddress> {
+        vec![
+            EmailAddress::new("plain", "example.com"),
+            EmailAddress::new("say \"hi\"", "quo\"te.org"),
+            EmailAddress::new("back\\slash", "x\\y.net"),
+            EmailAddress::new("line\nbreak", "tab\tdomain.edu"),
+            EmailAddress::new("josé", "café.example"),
+            EmailAddress::new("a@b", "c.com"),
+        ]
+    }
+
+    #[test]
+    fn debug_is_the_derived_two_field_form() {
+        for a in awkward() {
+            assert_eq!(format!("{a:?}"), format!("{:?}", two_strings(&a)));
+            assert_eq!(format!("{a:#?}"), format!("{:#?}", two_strings(&a)));
+        }
+        assert_eq!(
+            format!("{:?}", EmailAddress::new("Jo\"sé", "X.com")),
+            r#"EmailAddress { local: "jo\"sé", domain: "x.com" }"#
+        );
+    }
+
+    #[test]
+    fn json_keeps_the_two_field_shape_and_round_trips() {
+        for a in awkward() {
+            let json = serde_json::to_string(&a).unwrap();
+            assert_eq!(json, serde_json::to_string(&two_strings(&a)).unwrap());
+            let back: EmailAddress = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, a);
+            assert_eq!((back.local(), back.domain()), (a.local(), a.domain()));
+        }
+        assert_eq!(
+            serde_json::to_string(&EmailAddress::new("a", "b.com")).unwrap(),
+            r#"{"local":"a","domain":"b.com"}"#
+        );
+        // Stored parts are read as they are, as the derive read them.
+        let raw: EmailAddress = serde_json::from_str(r#"{"local":"A","domain":"B.com"}"#).unwrap();
+        assert_eq!((raw.local(), raw.domain()), ("A", "B.com"));
+        assert!(serde_json::from_str::<EmailAddress>(r#"{"local":"a"}"#).is_err());
+    }
+
+    #[test]
+    fn equality_and_hash_follow_the_parts() {
+        let all = awkward();
+        for a in &all {
+            for b in &all {
+                assert_eq!(a == b, two_strings(a) == two_strings(b), "{a:?} vs {b:?}");
+            }
+            let rebuilt = EmailAddress::new(a.local(), a.domain());
+            assert_eq!(&rebuilt, a);
+            assert_eq!(hash_of(&rebuilt), hash_of(a));
+            assert_eq!(hash_of(a), hash_of(&two_strings(a)));
+        }
+        // Same text, different split.
+        let (x, y) = (EmailAddress::new("a@b", "c"), EmailAddress::new("a", "b@c"));
+        assert_eq!(x.to_string(), y.to_string());
+        assert_ne!(x, y);
+        assert_ne!(hash_of(&x), hash_of(&y));
+        assert_eq!((x.local(), x.domain()), ("a@b", "c"));
+        assert_eq!((y.local(), y.domain()), ("a", "b@c"));
+    }
+
+    #[test]
+    fn a_clone_shares_its_text() {
+        let a = EmailAddress::new("user7", "homemail.com");
+        let b = a.clone();
+        assert_eq!(a.local().as_ptr(), b.local().as_ptr());
+        assert_eq!(a.domain().as_ptr(), b.domain().as_ptr());
+        assert!(std::mem::size_of::<EmailAddress>() <= 24);
+        assert_eq!(
+            std::mem::size_of::<Option<EmailAddress>>(),
+            std::mem::size_of::<EmailAddress>()
+        );
     }
 
     #[test]

@@ -124,13 +124,15 @@ echo "== digest pins =="
 # Absolute digests. Every test above compares dataset digests across
 # worker counts, forks and reruns, so an encoding slip in
 # `ShardedRun::dataset_digest` that is deterministic would pass them
-# all. The benchmark pins the output of its two workloads that call the
-# digest at two seeds each, and a run reports "correct":true only when
-# its output matches the pin. Runs start in the temp dir so their
-# records (.bench_out/) stay out of the tree.
+# all. The benchmark pins the output of its workloads at two seeds
+# each, and a run reports "correct":true only when its output matches
+# the pin. posture-sweep and scale-world call the dataset digest;
+# paper-world pins the unsharded path with seeded mailboxes, where the
+# mail store does most of its work. Runs start in the temp dir so
+# their records (.bench_out/) stay out of the tree.
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
 repo_root=$(pwd)
-for workload in posture-sweep scale-world; do
+for workload in posture-sweep scale-world paper-world; do
     for seed in 1 20141105; do
         result=$(cd "$fidelity_tmp" && cargo run --offline --release --quiet \
             --manifest-path "$repo_root/benchmark/Cargo.toml" -- \

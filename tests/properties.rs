@@ -17,7 +17,7 @@ fn arb_message(id: u32, subject: String, body: String, starred: bool) -> Message
         id: MessageId(id),
         owner: AccountId(0),
         from: EmailAddress::new("from", "x.com"),
-        to: vec![],
+        to: vec![].into(),
         subject: subject.into(),
         body: body.into(),
         attachments: vec![],
