@@ -47,6 +47,7 @@ pub mod redirects;
 pub mod risk;
 pub mod service;
 pub mod signals;
+mod small_list;
 
 pub use activity::{ActivityFeatures, ActivityMonitor, ActivityVerdict};
 pub use challenge::{AnswererCapabilities, ChallengePolicy};

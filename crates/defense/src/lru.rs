@@ -6,7 +6,14 @@
 //! implementation is the classic intrusive doubly-linked recency list
 //! over a slot arena plus a `HashMap` index — `get`/insert/evict are
 //! all O(1) (amortized), with no per-operation allocation once the
-//! arena is full.
+//! arena is full. Both the arena and the index grow with use, so a
+//! cache that sees few keys holds little, whatever its capacity.
+//!
+//! The index hashes with `FoldHasher`, a folded multiply, in place of
+//! SipHash: it runs on every login. Its keys are addresses the
+//! simulator made, the map is never iterated (so its order reaches no
+//! output), and the capacity bounds the table, so keys crafted to
+//! collide could only slow a cache, never grow it.
 //!
 //! [`IpReputation`]: crate::signals::IpReputation
 
@@ -14,7 +21,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Sentinel for "no slot" in the intrusive list.
 const NIL: usize = usize::MAX;
@@ -29,6 +36,48 @@ struct Slot<K, V> {
     next: usize,
 }
 
+/// A fixed, unkeyed hasher: each word written is folded into the state
+/// by a 64×64→128-bit multiply whose halves are XORed, which mixes
+/// every input bit into both the high bits (hashbrown's tag) and the
+/// low bits (its bucket index).
+#[derive(Debug, Clone, Copy)]
+struct FoldHasher(u64);
+
+impl Default for FoldHasher {
+    fn default() -> Self {
+        FoldHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl FoldHasher {
+    /// An odd constant with no short bit pattern (2^64 / φ).
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::MULTIPLIER);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    /// An `IpAddr` key hashes as one `u32`.
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A bounded map that evicts the least-recently-used entry on overflow.
 ///
 /// Recency is updated by [`get_mut`](LruCache::get_mut) and
@@ -36,7 +85,7 @@ struct Slot<K, V> {
 /// [`peek`](LruCache::peek) reads without touching the recency order.
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<FoldHasher>>,
     slots: Vec<Slot<K, V>>,
     /// Most recently used slot (NIL when empty).
     head: usize,
@@ -50,7 +99,7 @@ impl<K: Eq + Hash + Copy, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LruCache {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::default(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -71,6 +120,20 @@ impl<K: Eq + Hash + Copy, V> LruCache<K, V> {
     /// The configured bound.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The live values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().map(|slot| &slot.value)
+    }
+
+    /// Bytes of the cache's own tables: the slot arena's capacity and
+    /// the index's buckets (estimated as a hashbrown table's: one entry
+    /// and one control byte per bucket, 7/8 of buckets usable). Heap
+    /// owned by the values is not counted.
+    pub fn storage_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot<K, V>>()
+            + self.map.capacity() * 8 / 7 * (std::mem::size_of::<(K, usize)>() + 1)
     }
 
     /// Unlink slot `i` from the recency list.

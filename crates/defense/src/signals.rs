@@ -37,8 +37,8 @@
 //! [`LruCache`]: crate::lru::LruCache
 
 use crate::lru::LruCache;
+use crate::small_list::SmallList;
 use mhw_types::{AccountId, CountryCode, DenseMap, DeviceId, IpAddr, SimDuration, SimTime, DAY, HOUR};
-use std::collections::VecDeque;
 
 /// Sliding-window cap on devices remembered per account.
 ///
@@ -63,35 +63,85 @@ pub const DEFAULT_IP_CACHE_CAPACITY: usize = 65_536;
 /// count saturating at 64 is semantically invisible.
 pub const MAX_ACCOUNTS_PER_IP: usize = 64;
 
+/// Inline device slots per account before the window spills to the heap.
+const INLINE_DEVICES: usize = 7;
+
+/// Inline failure slots per account before the window spills to the heap.
+const INLINE_FAILURES: usize = 3;
+
+/// Inline account slots per IP before the list spills to the heap.
+const INLINE_ACCOUNTS_PER_IP: usize = 3;
+
+/// Each country is one bit of [`AccountHistory`]'s country mask.
+const _: () = assert!(CountryCode::ALL.len() <= 32);
+
 /// Per-account login history, updated on successful logins.
-#[derive(Debug, Default, Clone)]
+///
+/// One flat record of at most 128 bytes: counts and masks inline, and
+/// both windows inline until they outgrow their first few slots, when
+/// that window alone moves to the heap. An owner's record is read in
+/// one go, with no heap hop.
+#[derive(Debug, Clone)]
 pub struct AccountHistory {
-    /// Successful-login counts by country, sorted by country code.
-    /// Users see one or two countries in their lifetime, so a sorted
-    /// pair-vec beats a per-account hash map by an order of magnitude
-    /// in memory and loses nothing in lookup time.
-    countries: Vec<(CountryCode, u32)>,
+    /// Time of the most recent successful login (meaningful only when
+    /// `last_country` is set).
+    last_at: SimTime,
+    /// Successful logins recorded.
+    logins: u32,
+    /// Countries a successful login came from: bit `c as u32`.
+    countries: u32,
+    /// Hours of the day (UTC) a successful login was made in: bit `h`.
+    hours: u32,
+    /// Country of the most recent successful login.
+    last_country: Option<CountryCode>,
     /// Sliding window of recently seen devices, oldest first. A device
     /// seen again moves to the back (most recent), so the window evicts
     /// by recency, not insertion order.
-    devices: VecDeque<DeviceId>,
-    /// Most recent successful login (time, country).
-    last_success: Option<(SimTime, CountryCode)>,
-    /// Hour-of-day histogram of successful logins.
-    hours: [u32; 24],
-    /// Recent failed attempts (time-pruned, bounded).
-    recent_failures: VecDeque<SimTime>,
+    devices: SmallList<DeviceId, INLINE_DEVICES>,
+    /// Recent failed attempts (time-pruned, bounded), oldest first.
+    recent_failures: SmallList<SimTime, INLINE_FAILURES>,
 }
+
+const _: () = assert!(std::mem::size_of::<AccountHistory>() <= 128);
+
+impl Default for AccountHistory {
+    fn default() -> Self {
+        AccountHistory {
+            last_at: SimTime::EPOCH,
+            logins: 0,
+            countries: 0,
+            hours: 0,
+            last_country: None,
+            devices: SmallList::default(),
+            recent_failures: SmallList::default(),
+        }
+    }
+}
+
+/// For each hour `h`, the hours within two of it around the clock.
+const NEAR_HOURS: [u32; 24] = {
+    let mut masks = [0u32; 24];
+    let mut h = 0;
+    while h < 24 {
+        let mut d = 0;
+        while d < 5 {
+            masks[h] |= 1 << ((h + 24 + d - 2) % 24);
+            d += 1;
+        }
+        h += 1;
+    }
+    masks
+};
 
 impl AccountHistory {
     /// Total successful logins recorded on this account.
     pub fn total_logins(&self) -> u32 {
-        self.countries.iter().map(|(_, n)| n).sum()
+        self.logins
     }
 
     /// Whether a successful login was ever recorded from `country`.
     pub fn has_country(&self, country: CountryCode) -> bool {
-        self.countries.binary_search_by_key(&country, |(c, _)| *c).is_ok()
+        self.countries & country_bit(country) != 0
     }
 
     /// Whether `device` is inside the tracked-device window.
@@ -106,42 +156,44 @@ impl AccountHistory {
 
     /// Record a successful login.
     pub fn record_success(&mut self, at: SimTime, country: CountryCode, device: DeviceId) {
-        match self.countries.binary_search_by_key(&country, |(c, _)| *c) {
-            Ok(i) => self.countries[i].1 += 1,
-            Err(i) => self.countries.insert(i, (country, 1)),
-        }
-        if let Some(pos) = self.devices.iter().position(|d| *d == device) {
+        self.logins += 1;
+        self.countries |= country_bit(country);
+        if let Some(pos) = self.devices.as_slice().iter().position(|d| *d == device) {
             self.devices.remove(pos);
         } else if self.devices.len() >= MAX_TRACKED_DEVICES {
-            self.devices.pop_front();
+            self.devices.drop_front(1);
         }
-        self.devices.push_back(device);
-        self.last_success = Some((at, country));
-        self.hours[at.hour_of_day() as usize] += 1;
+        self.devices.push(device);
+        self.last_at = at;
+        self.last_country = Some(country);
+        self.hours |= 1 << at.hour_of_day();
     }
 
     /// Record a failed attempt.
+    ///
+    /// Failures more than 24 h before `at` leave from the front, up to
+    /// the first recent one; then the oldest leave until `at` fits
+    /// under [`MAX_RECENT_FAILURES`], and `at` is appended.
     pub fn record_failure(&mut self, at: SimTime) {
-        self.recent_failures.push_back(at);
-        while let Some(front) = self.recent_failures.front() {
-            if at.since(*front) > SimDuration::from_hours(24) {
-                self.recent_failures.pop_front();
-            } else {
-                break;
-            }
-        }
-        while self.recent_failures.len() > MAX_RECENT_FAILURES {
-            self.recent_failures.pop_front();
-        }
+        let window = self.recent_failures.as_slice();
+        let stale = window
+            .iter()
+            .take_while(|t| at.since(**t) > SimDuration::from_hours(24))
+            .count();
+        let over = (window.len() - stale + 1).saturating_sub(MAX_RECENT_FAILURES);
+        self.recent_failures.drop_front(stale + over);
+        self.recent_failures.push(at);
     }
 
-    /// Rough retained-memory estimate in bytes (used only for capacity
-    /// reporting, never scoring).
+    /// Retained bytes: the record plus any window that spilled to the
+    /// heap (used only for capacity reporting, never scoring).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.countries.len() * std::mem::size_of::<(CountryCode, u32)>()
-            + self.devices.len() * std::mem::size_of::<DeviceId>()
-            + self.recent_failures.len() * std::mem::size_of::<SimTime>()
+        std::mem::size_of::<Self>() + self.heap_bytes()
+    }
+
+    /// Bytes of windows that spilled to the heap.
+    fn heap_bytes(&self) -> usize {
+        self.devices.heap_bytes() + self.recent_failures.heap_bytes()
     }
 
     /// Failed attempts recorded within 24 h of `at` — the raw count
@@ -149,10 +201,27 @@ impl AccountHistory {
     /// cheap load-shedding prior.
     pub fn failures_in_last_day(&self, at: SimTime) -> usize {
         self.recent_failures
+            .as_slice()
             .iter()
             .filter(|t| at.since(**t) <= SimDuration::from_hours(24))
             .count()
     }
+
+    /// The most recent successful login (time, country).
+    fn last_success(&self) -> Option<(SimTime, CountryCode)> {
+        self.last_country.map(|c| (self.last_at, c))
+    }
+
+    /// Whether a successful login was ever made within two hours of
+    /// hour-of-day `hour`, around the clock.
+    fn used_hours_near(&self, hour: u32) -> bool {
+        self.hours & NEAR_HOURS[hour as usize] != 0
+    }
+}
+
+/// `country`'s bit in [`AccountHistory`]'s country mask.
+fn country_bit(country: CountryCode) -> u32 {
+    1 << country as u32
 }
 
 /// One IP's activity for the day it was last seen.
@@ -161,8 +230,9 @@ struct IpDayActivity {
     /// Day index the counts below belong to.
     day: u64,
     /// Distinct accounts seen from this IP that day (saturating at
-    /// [`MAX_ACCOUNTS_PER_IP`]).
-    accounts: Vec<AccountId>,
+    /// [`MAX_ACCOUNTS_PER_IP`]). The first few are inline, so an IP that
+    /// serves one account allocates nothing.
+    accounts: SmallList<AccountId, INLINE_ACCOUNTS_PER_IP>,
 }
 
 /// Provider-wide per-IP activity tracker (the fan-out signal).
@@ -206,10 +276,10 @@ impl IpReputation {
         let cap = self.accounts_per_ip;
         let entry = self
             .today
-            .get_or_insert_with(ip, || IpDayActivity { day, accounts: Vec::new() });
+            .get_or_insert_with(ip, || IpDayActivity { day, accounts: SmallList::default() });
         if entry.day != day {
             entry.day = day;
-            entry.accounts.clear();
+            entry.accounts = SmallList::default();
         }
         if !entry.accounts.contains(&account) && entry.accounts.len() < cap {
             entry.accounts.push(account);
@@ -265,13 +335,11 @@ impl IpReputation {
         self.today.capacity()
     }
 
-    /// Rough retained-memory estimate in bytes.
+    /// Retained bytes: the cache's slot arena and index, plus the
+    /// account lists that spilled to the heap.
     pub fn approx_bytes(&self) -> usize {
-        // key + slot links + day + saturating account vec, per entry.
-        self.today.len()
-            * (std::mem::size_of::<IpAddr>()
-                + 4 * std::mem::size_of::<usize>()
-                + self.accounts_per_ip * std::mem::size_of::<AccountId>())
+        self.today.storage_bytes()
+            + self.today.values().map(|a| a.accounts.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -353,9 +421,11 @@ impl HistoryStore {
         self.accounts.values().map(|h| h.tracked_devices()).sum()
     }
 
-    /// Rough retained-memory estimate in bytes.
+    /// Retained bytes: the store's record table plus the windows that
+    /// spilled to the heap.
     pub fn approx_bytes(&self) -> usize {
-        self.accounts.values().map(|h| h.approx_bytes() + 16).sum()
+        self.accounts.storage_bytes()
+            + self.accounts.values().map(|h| h.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -415,7 +485,7 @@ pub fn extract_signals(
         if !cold_start && !history.has_country(c) {
             s.new_country = 1.0;
         }
-        if let Some((last_at, last_country)) = history.last_success {
+        if let Some((last_at, last_country)) = history.last_success() {
             if last_country != c && at.since(last_at) < SimDuration::from_hours(MIN_TRAVEL_HOURS)
             {
                 s.impossible_travel = 1.0;
@@ -432,19 +502,10 @@ pub fn extract_signals(
 
     s.ip_fanout = ((fanout_today.saturating_sub(1)) as f64 / 19.0).clamp(0.0, 1.0);
 
-    if !cold_start {
-        let h = at.hour_of_day() as usize;
-        // Hour never used, nor its neighbours.
-        let near: u32 = (0..24)
-            .filter(|i| {
-                let d = (*i as i32 - h as i32).rem_euclid(24).min((h as i32 - *i as i32).rem_euclid(24));
-                d <= 2
-            })
-            .map(|i| history.hours[i])
-            .sum();
-        if near == 0 && history.total_logins() >= 10 {
-            s.odd_hour = 1.0;
-        }
+    // Hour never used, nor its neighbours (needs a deeper baseline than
+    // the cold-start cut).
+    if history.total_logins() >= 10 && !history.used_hours_near(at.hour_of_day()) {
+        s.odd_hour = 1.0;
     }
 
     s.failure_burst = (history.failures_in_last_day(at) as f64 / 5.0).clamp(0.0, 1.0);

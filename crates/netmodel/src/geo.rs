@@ -3,8 +3,9 @@
 //! Each modelled country owns a disjoint set of address blocks inside a
 //! country-unique /8 (a deliberately clean version of real RIR
 //! allocations — the measurement code only ever needs block→country
-//! lookups, never routing). Geolocating an address walks the block table,
-//! exactly how a GeoIP database behaves from the consumer's perspective.
+//! lookups, never routing). Geolocating an address binary-searches the
+//! block table by base address, exactly how a GeoIP database behaves
+//! from the consumer's perspective.
 
 use mhw_simclock::SimRng;
 use mhw_types::{CountryCode, IpAddr, IpBlock};
@@ -15,7 +16,13 @@ const BLOCKS_PER_COUNTRY: u32 = 8;
 /// A geolocation database over the synthetic address plan.
 #[derive(Debug, Clone)]
 pub struct GeoDb {
+    /// The plan, country by country, in allocation order.
     entries: Vec<(IpBlock, CountryCode)>,
+    /// `entries` sorted by base address, for [`GeoDb::locate`].
+    sorted: Vec<(IpBlock, CountryCode)>,
+    /// Each country's blocks in plan order, indexed by `country as
+    /// usize` — [`GeoDb::blocks_for`] without the scan.
+    by_country: Vec<Vec<IpBlock>>,
 }
 
 impl Default for GeoDb {
@@ -41,10 +48,16 @@ impl GeoDb {
                 entries.push((block, *country));
             }
         }
-        GeoDb { entries }
+        let mut sorted = entries.clone();
+        sorted.sort_by_key(|(block, _)| block.base());
+        let mut by_country = vec![Vec::new(); CountryCode::ALL.len()];
+        for (block, country) in &entries {
+            by_country[*country as usize].push(*block);
+        }
+        GeoDb { entries, sorted, by_country }
     }
 
-    /// All blocks allocated to `country`.
+    /// All blocks allocated to `country`, in plan order.
     pub fn blocks_for(&self, country: CountryCode) -> Vec<IpBlock> {
         self.entries
             .iter()
@@ -56,15 +69,21 @@ impl GeoDb {
     /// Geolocate an address. `None` for addresses outside the plan
     /// (which the simulator never emits, but logs are data: be total).
     pub fn locate(&self, ip: IpAddr) -> Option<CountryCode> {
-        self.entries
-            .iter()
-            .find(|(b, _)| b.contains(ip))
-            .map(|(_, c)| *c)
+        // The blocks are disjoint, so the only one that can hold `ip`
+        // is the last whose base is at or below it.
+        let after = self.sorted.partition_point(|(b, _)| b.base() <= ip);
+        let (block, country) = self.sorted[..after].last()?;
+        block.contains(ip).then_some(*country)
+    }
+
+    /// `country`'s blocks, in [`GeoDb::blocks_for`]'s order.
+    fn country_blocks(&self, country: CountryCode) -> &[IpBlock] {
+        &self.by_country[country as usize]
     }
 
     /// Draw a random address located in `country`.
     pub fn random_ip(&self, country: CountryCode, rng: &mut SimRng) -> IpAddr {
-        let blocks = self.blocks_for(country);
+        let blocks = self.country_blocks(country);
         let block = blocks[rng.below(blocks.len() as u64) as usize];
         // Avoid .0 and .255 hosts for cosmetic realism.
         let host = rng.range_inclusive(1, block.size() - 2);
@@ -74,10 +93,16 @@ impl GeoDb {
     /// Deterministically assign the `i`-th host address in `country`
     /// (used to give long-lived agents stable addresses).
     pub fn stable_ip(&self, country: CountryCode, i: u64) -> IpAddr {
-        let blocks = self.blocks_for(country);
+        let blocks = self.country_blocks(country);
         let block = blocks[(i % blocks.len() as u64) as usize];
         block.addr(1 + i / blocks.len() as u64)
     }
+}
+
+/// The linear scan `locate` replaced: the first plan block holding `ip`.
+#[cfg(test)]
+fn locate_by_scan(db: &GeoDb, ip: IpAddr) -> Option<CountryCode> {
+    db.entries.iter().find(|(b, _)| b.contains(ip)).map(|(_, c)| *c)
 }
 
 #[cfg(test)]
@@ -118,6 +143,31 @@ mod tests {
     }
 
     #[test]
+    fn locate_matches_the_scan_at_every_block_edge() {
+        let db = GeoDb::new();
+        for (block, _) in &db.entries {
+            let first = block.base().0;
+            let last = first + (block.size() - 1) as u32;
+            let edges =
+                [first.wrapping_sub(1), first, first + 1, last - 1, last, last.wrapping_add(1)];
+            for ip in edges.map(IpAddr) {
+                assert_eq!(db.locate(ip), locate_by_scan(&db, ip), "{ip}");
+            }
+        }
+        for ip in [IpAddr(0), IpAddr(u32::MAX)] {
+            assert_eq!(db.locate(ip), None);
+        }
+    }
+
+    #[test]
+    fn country_blocks_are_blocks_for() {
+        let db = GeoDb::new();
+        for c in CountryCode::ALL {
+            assert_eq!(db.country_blocks(c), db.blocks_for(c), "{c}");
+        }
+    }
+
+    #[test]
     fn locate_unknown_is_none() {
         let db = GeoDb::new();
         assert_eq!(db.locate(IpAddr::new(8, 8, 8, 8)), None);
@@ -153,17 +203,47 @@ mod proptests {
         }
 
         /// Geolocation is a partial function: any IP maps to at most one
-        /// country (blocks are disjoint).
+        /// country (blocks are disjoint), and `locate` names it.
         #[test]
         fn locate_is_unambiguous(a in 0u8..=255, b in 0u8..=255, c in 0u8..=255, d in 0u8..=255) {
             let db = GeoDb::new();
             let ip = IpAddr::new(a, b, c, d);
-            let hits = CountryCode::ALL
-                .iter()
-                .filter(|country| db.blocks_for(**country).iter().any(|blk| blk.contains(ip)))
-                .count();
-            prop_assert!(hits <= 1);
-            prop_assert_eq!(db.locate(ip).is_some(), hits == 1);
+            let hits: Vec<CountryCode> = CountryCode::ALL
+                .into_iter()
+                .filter(|country| db.blocks_for(*country).iter().any(|blk| blk.contains(ip)))
+                .collect();
+            prop_assert!(hits.len() <= 1);
+            prop_assert_eq!(db.locate(ip), hits.first().copied());
+        }
+
+        /// The binary search agrees with the linear scan inside and
+        /// around the plan's /8s, where most addresses are near a block.
+        #[test]
+        fn locate_matches_the_scan(a in 38u8..60, b in 0u8..=255, c in 0u8..=255, d in 0u8..=255) {
+            let db = GeoDb::new();
+            let ip = IpAddr::new(a, b, c, d);
+            prop_assert_eq!(db.locate(ip), locate_by_scan(&db, ip));
+        }
+
+        /// Drawing addresses from the per-country slices picks the same
+        /// blocks as drawing them from `blocks_for`, so the RNG streams
+        /// and stable addresses are unchanged.
+        #[test]
+        fn addresses_follow_blocks_for(
+            country_idx in 0usize..CountryCode::ALL.len(),
+            host in 0u64..1_000_000,
+            seed in 0u64..1_000,
+        ) {
+            let db = GeoDb::new();
+            let country = CountryCode::ALL[country_idx];
+            let blocks = db.blocks_for(country);
+            let n = blocks.len() as u64;
+            let stable = blocks[(host % n) as usize].addr(1 + host / n);
+            prop_assert_eq!(db.stable_ip(country, host), stable);
+            let (mut rng, mut reference) = (SimRng::from_seed(seed), SimRng::from_seed(seed));
+            let block = blocks[reference.below(n) as usize];
+            let expected = block.addr(reference.range_inclusive(1, block.size() - 2));
+            prop_assert_eq!(db.random_ip(country, &mut rng), expected);
         }
     }
 }

@@ -368,6 +368,15 @@ impl<V> DenseMap<V> {
         self.present == 0
     }
 
+    /// Bytes of the map's own tables: the dense `Vec`'s capacity and
+    /// the overflow map's buckets (estimated as a hashbrown table's:
+    /// one slot and one control byte per bucket, 7/8 of buckets usable).
+    /// Heap owned by the values is not counted.
+    pub fn storage_bytes(&self) -> usize {
+        self.dense.capacity() * std::mem::size_of::<Option<V>>()
+            + self.overflow.capacity() * 8 / 7 * (std::mem::size_of::<(u32, V)>() + 1)
+    }
+
     /// Iterator over present values, dense region first (in key order),
     /// then overflow entries (unordered).
     pub fn values(&self) -> impl Iterator<Item = &V> {

@@ -128,11 +128,13 @@ echo "== digest pins =="
 # each, and a run reports "correct":true only when its output matches
 # the pin. posture-sweep and scale-world call the dataset digest;
 # paper-world pins the unsharded path with seeded mailboxes, where the
-# mail store does most of its work. Runs start in the temp dir so
-# their records (.bench_out/) stay out of the tree.
+# mail store does most of its work; serve-replay pins the streaming
+# risk service's verdict digest over 3M logins, the per-account
+# history, IP cache and geolocation that score every login. Runs start
+# in the temp dir so their records (.bench_out/) stay out of the tree.
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
 repo_root=$(pwd)
-for workload in posture-sweep scale-world paper-world; do
+for workload in posture-sweep scale-world paper-world serve-replay; do
     for seed in 1 20141105; do
         result=$(cd "$fidelity_tmp" && cargo run --offline --release --quiet \
             --manifest-path "$repo_root/benchmark/Cargo.toml" -- \
