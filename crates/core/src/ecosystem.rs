@@ -17,7 +17,7 @@
 //! produces.
 
 use crate::config::ScenarioConfig;
-use crate::world::{WorldAdapter, VARIANT_CORRECT};
+use crate::world::{spam_decision, WorldAdapter, VARIANT_CORRECT};
 use mhw_adversary::{CrewRoster, HijackPlaybook, SessionReport};
 use mhw_defense::{
     ActivityMonitor, AnswererCapabilities, LoginContext, LoginPipeline, LoginRequest,
@@ -928,27 +928,10 @@ impl Ecosystem {
             mhw_phishkit::targets::LureStructure::ReplyWithCredentials
         };
         // Phishers A/B-test wording; a minority of lures use evasive
-        // phrasing that slips past the content classifier (no filter is
-        // perfect — §8.1's false-negative side).
+        // phrasing that slips past the content classifier.
         let evasive = self.rng_campaign.chance(0.25);
         let (subject, body) = if evasive {
-            match structure {
-                mhw_phishkit::targets::LureStructure::LinkToPage => (
-                    "Important notice about your mailbox".to_string(),
-                    "Due to a system migration, your mailbox access will be \
-                     interrupted. Kindly re-validate your access at \
-                     http://mail-migration.example/start to avoid any \
-                     inconvenience."
-                        .to_string(),
-                ),
-                mhw_phishkit::targets::LureStructure::ReplyWithCredentials => (
-                    "Mailbox re-validation".to_string(),
-                    "Due to a system migration, kindly send back your mailbox \
-                     sign-in details so our team can migrate your data without \
-                     interruption."
-                        .to_string(),
-                ),
-            }
+            evasive_lure_text(structure)
         } else {
             mhw_phishkit::targets::lure_text(mhw_types::AccountCategory::Mail, structure)
         };
@@ -965,9 +948,11 @@ impl Ecosystem {
             "account-alerts.net",
         );
         let classifier_enabled = self.config.defense.mail_classifier;
-        let classifier = &self.classifier;
+        let leniency = self.config.contact_leniency;
+        let (classifier, graph, rng) =
+            (&mut self.classifier, &self.population.graph, &mut self.rng_world);
         let id = self.provider.deliver_external(target, from, &draft, at, |m| {
-            classifier_enabled && classifier.should_spam_folder(m)
+            spam_decision(classifier, classifier_enabled, leniency, graph, None, rng, m)
         });
         self.stats.lures_delivered += 1;
         if self.provider.mailbox(target).folder_of(id) == Some(Folder::Spam) {
@@ -1169,22 +1154,11 @@ impl Ecosystem {
 
     fn send_as(&mut self, from: AccountId, actor: Actor, draft: MessageDraft, at: SimTime) {
         let classifier_enabled = self.config.defense.mail_classifier;
-        let classifier = &self.classifier;
         let leniency = self.config.contact_leniency;
-        let graph = &self.population.graph;
-        let rng = &mut self.rng_world;
+        let (classifier, graph, rng) =
+            (&mut self.classifier, &self.population.graph, &mut self.rng_world);
         self.provider.send(from, actor, draft, at, |m| {
-            if !classifier_enabled || !classifier.should_spam_folder(m) {
-                return false;
-            }
-            let recipient = m.owner;
-            if recipient.index() < graph.len() && graph.contacts_of(recipient).contains(&from) {
-                // Contact-origin leniency (§5.3).
-                if rng.chance(leniency) {
-                    return false;
-                }
-            }
-            true
+            spam_decision(classifier, classifier_enabled, leniency, graph, Some(from), rng, m)
         });
     }
 
@@ -1814,6 +1788,27 @@ fn source_page_id(page: &PhishingPage) -> PageId {
     page.id
 }
 
+/// A mail lure worded to slip past the content classifier (no filter
+/// is perfect — §8.1's false-negative side).
+fn evasive_lure_text(structure: mhw_phishkit::targets::LureStructure) -> (String, String) {
+    let (subject, body) = match structure {
+        mhw_phishkit::targets::LureStructure::LinkToPage => (
+            "Important notice about your mailbox",
+            "Due to a system migration, your mailbox access will be \
+             interrupted. Kindly re-validate your access at \
+             http://mail-migration.example/start to avoid any \
+             inconvenience.",
+        ),
+        mhw_phishkit::targets::LureStructure::ReplyWithCredentials => (
+            "Mailbox re-validation",
+            "Due to a system migration, kindly send back your mailbox \
+             sign-in details so our team can migrate your data without \
+             interruption.",
+        ),
+    };
+    (subject.to_string(), body.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1959,6 +1954,75 @@ mod tests {
             .filter(|r| r.account == d && r.actor == Actor::Owner)
             .count();
         assert_eq!(owner_logins, 0);
+    }
+
+    /// Through the classifier's memo, the spam decision equals a fresh
+    /// classification for every text the simulator makes: the mail
+    /// lures, the two evasive lures, every scam variant, and whatever a
+    /// run leaves in its mailboxes (seeded templates, organic and crew
+    /// mail). It holds for the run's own memo, keyed by the provider's
+    /// shared texts, and for the texts re-allocated and re-paired.
+    #[test]
+    fn memoized_spam_decision_matches_fresh_classification() {
+        use mhw_adversary::scamgen::{generate_scam, ScamStyle};
+        use mhw_defense::MailClass;
+        use mhw_mailsys::Message;
+        use mhw_phishkit::targets::{lure_text, LureStructure};
+        use mhw_types::{AccountCategory, Language};
+
+        let structures = [LureStructure::LinkToPage, LureStructure::ReplyWithCredentials];
+        let mut texts: Vec<(String, String)> = structures.map(evasive_lure_text).to_vec();
+        for category in AccountCategory::ALL {
+            texts.extend(structures.map(|s| lure_text(category, s)));
+        }
+        let mut rng = SimRng::from_seed(21);
+        for style in [ScamStyle::MuggedInCity, ScamStyle::SickRelative] {
+            for language in
+                [Language::English, Language::French, Language::Spanish, Language::Chinese]
+            {
+                for customized in [false, true] {
+                    // Each call draws one of the six cities.
+                    for _ in 0..12 {
+                        texts.push(generate_scam(style, language, "Alex", customized, &mut rng));
+                    }
+                }
+            }
+        }
+
+        let mut eco = small(13);
+        eco.run();
+        let mut classifier = eco.classifier.clone();
+        for account in (0..eco.provider.account_count()).map(AccountId::from_index) {
+            for m in eco.provider.mailbox(account).all_messages() {
+                let fresh = classifier.classify(m) != MailClass::Clean;
+                assert_eq!(classifier.should_spam_folder(m), fresh, "{:?}", m.subject);
+                texts.push((m.subject.to_string(), m.body.to_string()));
+            }
+        }
+        texts.sort();
+        texts.dedup();
+        assert!(texts.len() > 100, "only {} distinct texts", texts.len());
+
+        // Two allocations of each text. Each pick pairs a subject with
+        // its own body (either allocation) or with any other body.
+        let twice = |t: &str| [Arc::<str>::from(t), Arc::<str>::from(t)];
+        let subjects: Vec<Arc<str>> = texts.iter().flat_map(|(s, _)| twice(s)).collect();
+        let bodies: Vec<Arc<str>> = texts.iter().flat_map(|(_, b)| twice(b)).collect();
+        let mut template: Message =
+            eco.provider.mailbox(AccountId(0)).all_messages().next().cloned().expect("seeded mail");
+        let mut classifier = eco.classifier.clone();
+        for _ in 0..3 * subjects.len() {
+            let s = rng.below(subjects.len() as u64) as usize;
+            let b = if rng.chance(0.5) {
+                s ^ rng.below(2) as usize
+            } else {
+                rng.below(bodies.len() as u64) as usize
+            };
+            template.subject = Arc::clone(&subjects[s]);
+            template.body = Arc::clone(&bodies[b]);
+            let fresh = classifier.classify(&template) != MailClass::Clean;
+            assert_eq!(classifier.should_spam_folder(&template), fresh, "{:?}", template.subject);
+        }
     }
 
     #[test]

@@ -133,16 +133,26 @@ impl ServeFaultPlan {
 
     /// Parse a CLI fault spec (see the type docs for the grammar).
     /// Errors are plain strings naming the offending entry; the CLIs
-    /// turn them into usage errors (exit code 2).
+    /// turn them into usage errors (exit code 2). A seeded count above
+    /// `n_events` is one: the plan holds one window per geo fault, so
+    /// the count must be bounded before anything is allocated.
     pub fn parse_spec(spec: &str, seed: u64, n_events: u64) -> Result<Self, String> {
         let entries = match faultspec::parse(spec, &["geo", "slow", "wipe"])? {
             faultspec::FaultSpec::Seeded(counts) => {
+                let count = |kind: &str| match counts.get(kind) {
+                    n if n > n_events => Err(format!(
+                        "fault spec `{spec}`: {n} seeded `{kind}` faults exceed the \
+                         stream's {n_events} events"
+                    )),
+                    n => usize::try_from(n)
+                        .map_err(|_| format!("fault spec `{spec}`: {n} is too large")),
+                };
                 return Ok(ServeFaultPlan::seeded(
                     seed,
                     n_events,
-                    counts.get("geo") as usize,
-                    counts.get("slow") as usize,
-                    counts.get("wipe") as usize,
+                    count("geo")?,
+                    count("slow")?,
+                    count("wipe")?,
                 ));
             }
             faultspec::FaultSpec::Explicit(entries) => entries,
@@ -554,6 +564,22 @@ mod tests {
         let from_spec = ServeFaultPlan::parse_spec("seeded:geo=1,slow=2,wipe=1", 0x5E2E, 10_000)
             .unwrap();
         assert_eq!(from_spec, a);
+    }
+
+    #[test]
+    fn seeded_counts_past_the_stream_are_rejected() {
+        let err = ServeFaultPlan::parse_spec("seeded:geo=101", 0, 100).unwrap_err();
+        assert!(err.contains("101 seeded `geo` faults exceed the stream's 100 events"), "{err}");
+        let err = ServeFaultPlan::parse_spec("seeded:wipe=101", 0, 100).unwrap_err();
+        assert!(err.contains("`wipe`"), "{err}");
+        // Unchecked, this plan would hold 4e9 geo windows (~64 GB); the
+        // count check refuses it before anything is allocated.
+        let err = ServeFaultPlan::parse_spec("seeded:geo=4000000000,slow=4000000000", 0, 10_000)
+            .unwrap_err();
+        assert!(err.contains("4000000000 seeded `geo` faults"), "{err}");
+        let at_cap =
+            ServeFaultPlan::parse_spec("seeded:geo=100,slow=100,wipe=100", 0, 100).unwrap();
+        assert_eq!(at_cap, ServeFaultPlan::seeded(0, 100, 100, 100, 100));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mhw_defense::{
 use mhw_identity::{CredentialStore, LoginLog, LoginOutcome, RecoveryOptions, TwoFactorState};
 use mhw_mailsys::{FilterAction, Folder, MailProvider, Message, MessageDraft, MessageKind};
 use mhw_netmodel::GeoDb;
-use mhw_population::Population;
+use mhw_population::{ContactGraph, Population};
 use mhw_simclock::SimRng;
 use mhw_types::{
     AccountId, Actor, CrewId, DeviceId, EmailAddress, IpAddr, PhoneNumber, SimTime,
@@ -27,6 +27,34 @@ use std::collections::HashSet;
 /// the correct password (the simulator adjudicated the retry; see
 /// `mhw_adversary::playbook`).
 pub const VARIANT_CORRECT: &str = "<variant-correct>";
+
+/// The inbound spam decision for one delivered copy, made alike for
+/// organic mail, crew mail and external lures. The classifier decides;
+/// then spam from one of the recipient's contacts gets through with
+/// probability `contact_leniency` (§5.3), the one draw from `rng`.
+/// `sender` is `None` for mail from outside the provider, which gets
+/// no leniency.
+pub(crate) fn spam_decision(
+    classifier: &mut MailClassifier,
+    classifier_enabled: bool,
+    contact_leniency: f64,
+    graph: &ContactGraph,
+    sender: Option<AccountId>,
+    rng: &mut SimRng,
+    m: &Message,
+) -> bool {
+    if !classifier_enabled || !classifier.should_spam_folder(m) {
+        return false;
+    }
+    let Some(sender) = sender else {
+        return true;
+    };
+    // Accounts outside the graph (decoys) have no contacts.
+    let recipient = m.owner;
+    let is_contact =
+        recipient.index() < graph.len() && graph.contacts_of(recipient).contains(&sender);
+    !(is_contact && rng.chance(contact_leniency))
+}
 
 /// Mutable view over the ecosystem for one hijack session (or one batch
 /// of organic actions).
@@ -39,7 +67,7 @@ pub struct WorldAdapter<'a> {
     pub login_log: &'a mut LoginLog,
     pub geo: &'a GeoDb,
     pub population: &'a Population,
-    pub classifier: &'a MailClassifier,
+    pub classifier: &'a mut MailClassifier,
     pub classifier_enabled: bool,
     pub contact_leniency: f64,
     pub monitor: Option<&'a mut ActivityMonitor>,
@@ -91,37 +119,6 @@ impl<'a> WorldAdapter<'a> {
         }
     }
 
-    /// The inbound-delivery spam decision for a message sent by
-    /// `sender_account` (None for external senders). Contact-origin mail
-    /// receives lenient treatment (§5.3).
-    fn spam_decision(
-        classifier: &MailClassifier,
-        classifier_enabled: bool,
-        contact_leniency: f64,
-        population: &Population,
-        sender_account: Option<AccountId>,
-        rng: &mut SimRng,
-        m: &Message,
-    ) -> bool {
-        if !classifier_enabled {
-            return false;
-        }
-        if !classifier.should_spam_folder(m) {
-            return false;
-        }
-        if let Some(sender) = sender_account {
-            let recipient = m.owner;
-            let is_contact = population
-                .graph
-                .contacts_of(recipient)
-                .contains(&sender);
-            if is_contact && rng.chance(contact_leniency) {
-                return false; // leniency let it through
-            }
-        }
-        true
-    }
-
     /// Send mail from an internal account, with the full classifier path
     /// (shared by crews and organic users — same code, same treatment).
     #[allow(clippy::too_many_arguments)]
@@ -132,13 +129,13 @@ impl<'a> WorldAdapter<'a> {
         draft: MessageDraft,
         at: SimTime,
     ) -> (mhw_types::MessageId, Vec<mhw_types::MessageId>) {
-        let classifier = self.classifier;
+        let classifier = &mut *self.classifier;
         let enabled = self.classifier_enabled;
         let leniency = self.contact_leniency;
-        let population: &Population = self.population;
+        let graph = &self.population.graph;
         let rng = &mut *self.rng;
         let result = self.provider.send(from, actor, draft, at, |m| {
-            Self::spam_decision(classifier, enabled, leniency, population, Some(from), rng, m)
+            spam_decision(classifier, enabled, leniency, graph, Some(from), rng, m)
         });
         self.drain_monitor();
         result

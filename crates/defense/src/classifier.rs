@@ -13,6 +13,8 @@
 
 use mhw_mailsys::Message;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Classifier output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -82,18 +84,38 @@ pub fn extract_features(m: &Message) -> ScamFeatures {
     }
 }
 
+/// A classified pair's two texts, held so their addresses stay keys,
+/// and its features.
+type SeenText = (Arc<str>, Arc<str>, ScamFeatures);
+
 /// The classifier: weighted noisy-OR per class with thresholds.
+///
+/// Delivery classifies every copy of every message, but the provider
+/// keeps one allocation per distinct subject and body, so copies share
+/// their text. [`should_spam_folder`](Self::should_spam_folder)
+/// therefore extracts each (subject, body) pair's features once and
+/// looks them up after. Equal texts in different allocations get
+/// entries of their own, which costs an extraction but never changes
+/// an answer.
 #[derive(Debug, Clone)]
 pub struct MailClassifier {
     /// Threshold above which mail is labelled scam.
     pub scam_threshold: f64,
     /// Threshold above which mail is labelled phishing.
     pub phishing_threshold: f64,
+    /// Features of every pair seen by `should_spam_folder`, keyed by
+    /// the two texts' addresses. Each entry holds both texts, so no
+    /// address can be freed and reused while it is a key.
+    features_seen: HashMap<(usize, usize), SeenText>,
 }
 
 impl Default for MailClassifier {
     fn default() -> Self {
-        MailClassifier { scam_threshold: 0.5, phishing_threshold: 0.5 }
+        MailClassifier {
+            scam_threshold: 0.5,
+            phishing_threshold: 0.5,
+            features_seen: HashMap::new(),
+        }
     }
 }
 
@@ -121,9 +143,12 @@ impl MailClassifier {
 
     /// Classify one message.
     pub fn classify(&self, m: &Message) -> MailClass {
-        let f = extract_features(m);
-        let phish = self.phishing_score(&f);
-        let scam = self.scam_score(&f);
+        self.class_of(&extract_features(m))
+    }
+
+    fn class_of(&self, f: &ScamFeatures) -> MailClass {
+        let phish = self.phishing_score(f);
+        let scam = self.scam_score(f);
         if phish >= self.phishing_threshold && phish >= scam {
             MailClass::Phishing
         } else if scam >= self.scam_threshold {
@@ -133,9 +158,21 @@ impl MailClassifier {
         }
     }
 
-    /// Whether delivery should route this message to Spam.
-    pub fn should_spam_folder(&self, m: &Message) -> bool {
-        self.classify(m) != MailClass::Clean
+    /// Whether delivery should route this message to Spam: the answer
+    /// of `self.classify(m) != MailClass::Clean`, with the features
+    /// of each distinct (subject, body) allocation pair extracted once.
+    pub fn should_spam_folder(&mut self, m: &Message) -> bool {
+        let key = m.text_key();
+        let features = match self.features_seen.get(&key) {
+            Some(&(_, _, features)) => features,
+            None => {
+                let features = extract_features(m);
+                let entry = (Arc::clone(&m.subject), Arc::clone(&m.body), features);
+                self.features_seen.insert(key, entry);
+                features
+            }
+        };
+        self.class_of(&features) != MailClass::Clean
     }
 }
 
@@ -247,11 +284,56 @@ mod tests {
 
     #[test]
     fn spam_folder_decision_matches_class() {
-        let c = MailClassifier::default();
+        let mut c = MailClassifier::default();
         let scam = msg("help", "i was mugged, please wire me money via western union, urgent, will repay");
         assert!(c.should_spam_folder(&scam));
         let clean = msg("hi", "see you tomorrow");
         assert!(!c.should_spam_folder(&clean));
+    }
+
+    /// Subjects that end, and bodies that start, with half of a needle,
+    /// so a pair can match only across the space that joins them:
+    /// "Western" | "union", "wire" | "me", "please" | "help" and "my
+    /// phone was" | "stolen".
+    const SPLIT_SUBJECTS: [&str; 7] =
+        ["", "please", "Western", "wire", "Lunch", "reset your password", "my phone was"];
+    const SPLIT_BODIES: [&str; 8] = [
+        "",
+        "help",
+        "union, urgent",
+        "me money, urgent",
+        "help: western union",
+        "reply with it",
+        "stolen",
+        "see you at noon",
+    ];
+
+    proptest::proptest! {
+        /// Through the memo, `should_spam_folder` answers as a fresh
+        /// `classify` does, however pairs share allocations: texts
+        /// repeat in any order, one subject allocation pairs with many
+        /// bodies and one body with many subjects, equal texts sit in
+        /// distinct allocations, and the thresholds move between calls.
+        #[test]
+        fn memoized_decision_matches_fresh_classification(
+            picks in proptest::collection::vec(0u64..u64::MAX, 1..80)
+        ) {
+            let twice = |texts: &[&str]| -> Vec<Arc<str>> {
+                texts.iter().flat_map(|t| [Arc::from(*t), Arc::from(*t)]).collect()
+            };
+            let (subjects, bodies) = (twice(&SPLIT_SUBJECTS), twice(&SPLIT_BODIES));
+            let mut c = MailClassifier::default();
+            for p in picks {
+                if p % 16 == 0 {
+                    c.scam_threshold = if c.scam_threshold == 0.5 { 0.3 } else { 0.5 };
+                }
+                let mut m = msg("", "");
+                m.subject = Arc::clone(&subjects[((p >> 8) % subjects.len() as u64) as usize]);
+                m.body = Arc::clone(&bodies[((p >> 32) % bodies.len() as u64) as usize]);
+                let fresh = c.classify(&m) != MailClass::Clean;
+                proptest::prop_assert_eq!(c.should_spam_folder(&m), fresh, "{:?}", m.subject);
+            }
+        }
     }
 
     #[test]

@@ -179,10 +179,11 @@ impl<K: Eq + Hash + Copy, V> LruCache<K, V> {
         self.map.get(key).map(|&i| &self.slots[i].value)
     }
 
-    /// Drop every entry, keeping the configured capacity. The slot
-    /// arena is released too (a wiped cache rebuilds it on demand) —
-    /// this is the serve tier's `cache-wipe` fault, so it must model a
-    /// genuinely cold cache, not a warm arena with empty entries.
+    /// Drop every entry: the serve tier's `cache-wipe` fault, after
+    /// which every key misses. The slot arena and the index keep their
+    /// allocations, so [`storage_bytes`](Self::storage_bytes) does not
+    /// fall. Serve reads peak state once, at the end of a replay, and a
+    /// wipe that freed memory would make that read less than the peak.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
@@ -286,6 +287,28 @@ mod tests {
         c.get_or_insert_with(3, || 3); // evicts 2, not 1
         assert_eq!(c.peek(&2), None);
         assert_eq!(c.peek(&1), Some(&1));
+    }
+
+    #[test]
+    fn clear_empties_the_cache_but_keeps_its_tables() {
+        let mut c: LruCache<u32, u32> = LruCache::new(3);
+        for k in 0..3 {
+            c.get_or_insert_with(k, || k);
+        }
+        let bytes = c.storage_bytes();
+        c.clear();
+        assert_eq!(c.len(), 0);
+        assert!((0..3).all(|k| c.peek(&k).is_none()));
+        assert_eq!(c.storage_bytes(), bytes);
+        // Refilled, it evicts in recency order again.
+        for k in 10..13 {
+            c.get_or_insert_with(k, || k);
+        }
+        c.get_mut(&10);
+        c.get_or_insert_with(13, || 13);
+        assert_eq!(c.peek(&11), None, "the least recently used entry goes");
+        assert!([10, 12, 13].iter().all(|k| c.peek(k) == Some(k)));
+        assert_eq!(c.storage_bytes(), bytes);
     }
 
     #[test]

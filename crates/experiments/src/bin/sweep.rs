@@ -150,8 +150,6 @@ fn report_from(
             pivot_takeovers: outcome.pivot_takeovers,
             recovery_lockouts: outcome.recovery_lockouts,
             recovery_step_ups: outcome.recovery_step_ups,
-            run_s: outcome.run_s,
-            digest_s: outcome.digest_s,
         });
     }
     report

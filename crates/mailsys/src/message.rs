@@ -138,6 +138,13 @@ fn find_folded(haystack: &[u8], needle: &[u8], fold_needle: bool) -> bool {
 }
 
 impl Message {
+    /// The addresses of the subject and body allocations. Copies that
+    /// share their text have equal keys; equal texts in different
+    /// allocations do not.
+    pub fn text_key(&self) -> (usize, usize) {
+        (Arc::as_ptr(&self.subject).addr(), Arc::as_ptr(&self.body).addr())
+    }
+
     /// Case-insensitive haystack over subject and body.
     pub fn text_matches(&self, needle_lower: &str) -> bool {
         contains_lowercased(&self.subject, needle_lower)

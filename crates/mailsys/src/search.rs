@@ -14,6 +14,7 @@
 
 use crate::mailbox::{Folder, Mailbox};
 use mhw_types::MessageId;
+use std::collections::HashMap;
 
 /// A parsed search query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -89,6 +90,10 @@ impl SearchQuery {
 pub fn search(mailbox: &Mailbox, query: &SearchQuery) -> Vec<MessageId> {
     let phrase = query.terms.join(" ");
     let exts: Vec<&str> = query.filename_exts.iter().map(String::as_str).collect();
+    // Whether each (subject, body) pair matches the terms, decided once
+    // per pair: copies of one text share an allocation, and the
+    // borrowed mailbox keeps every text, so every address, alive.
+    let mut text_matches: HashMap<(usize, usize), bool> = HashMap::new();
     mailbox
         .messages_in_folders()
         .filter(|(_, folder)| !matches!(folder, Folder::Trash | Folder::Spam))
@@ -100,15 +105,11 @@ pub fn search(mailbox: &Mailbox, query: &SearchQuery) -> Vec<MessageId> {
             if !exts.is_empty() && !m.has_attachment_ext(&exts) {
                 return false;
             }
-            if !query.terms.is_empty() {
-                // Phrase match, falling back to all-terms match.
-                if !(m.text_matches(&phrase)
-                    || query.terms.iter().all(|t| m.text_matches(t)))
-                {
-                    return false;
-                }
-            }
-            true
+            query.terms.is_empty()
+                || *text_matches.entry(m.text_key()).or_insert_with(|| {
+                    // Phrase match, falling back to all-terms match.
+                    m.text_matches(&phrase) || query.terms.iter().all(|t| m.text_matches(t))
+                })
         })
         .map(|m| m.id)
         .collect()

@@ -3,18 +3,16 @@
 //! The `sweep` binary fans a defense × recovery posture grid over
 //! forked continuations of one shared snapshot (see
 //! `mhw_bench::sweep::fork_sweep`) and serializes the per-cell outcomes
-//! here. Unlike `BENCH_serve.json`, almost everything in a
-//! [`SweepReport`] is deterministic: for a fixed scenario, seed and
-//! grid, every cell's `digest` and every count is byte-identical across
-//! reruns and pool widths — that is what `sweep --smoke` double-runs
-//! and what `tests/recovery_sweep.rs` pins. Only the two wall-clock
-//! timing fields (and [`SweepReport::host_parallelism`], which exists
-//! to contextualize them) measure the hardware.
+//! here. Like `BENCH_serve.json`, a [`SweepReport`] holds no wall-clock
+//! field: for a fixed scenario, seed and grid, the whole report is
+//! byte-identical across reruns, hosts and pool widths — that is what
+//! `sweep --smoke` double-runs and what `tests/recovery_sweep.rs`
+//! pins. Cell timings are the benchmark's to measure.
 
 use serde::{Deserialize, Serialize};
 
 /// Identifies the sweep-report layout; bump when fields change meaning.
-pub const SWEEP_SCHEMA: &str = "mhw-sweep/v1";
+pub const SWEEP_SCHEMA: &str = "mhw-sweep/v2";
 
 /// One grid cell's measured outcome: its coordinates on the two
 /// posture axes plus the attack-success / legitimate-lockout numbers
@@ -45,10 +43,6 @@ pub struct SweepCellRow {
     pub recovery_lockouts: u64,
     /// Owner claims that hit a step-up challenge.
     pub recovery_step_ups: u64,
-    /// Wall-clock seconds forking/simulating the cell (hardware-bound).
-    pub run_s: f64,
-    /// Wall-clock seconds digesting the cell's dataset (hardware-bound).
-    pub digest_s: f64,
 }
 
 impl SweepCellRow {
@@ -75,16 +69,12 @@ pub struct SweepReport {
     /// Day the shared prefix was snapshotted at; cells diverge from
     /// here (the baseline cell re-runs the prefix's own config).
     pub snapshot_day: u64,
-    /// Logical CPUs on the recording host — context for the wall-clock
-    /// columns only; every count and digest is host-independent.
-    pub host_parallelism: usize,
     /// One row per grid cell, defense-major.
     pub cells: Vec<SweepCellRow>,
 }
 
 impl SweepReport {
-    /// Assemble a report around its scenario identity, stamping the
-    /// recording host's core count.
+    /// Assemble a report around its scenario identity.
     pub fn new(seed: u64, users: u32, days: u32, snapshot_day: u64) -> Self {
         SweepReport {
             schema: SWEEP_SCHEMA.to_string(),
@@ -92,7 +82,6 @@ impl SweepReport {
             users,
             days,
             snapshot_day,
-            host_parallelism: crate::host_parallelism(),
             cells: Vec::new(),
         }
     }
@@ -109,17 +98,13 @@ impl SweepReport {
     }
 
     /// The per-cell digests in grid order — the determinism fingerprint
-    /// `sweep --smoke` compares between its double runs (timings and
-    /// host fields are excluded by construction).
+    /// `sweep --smoke` compares between its double runs.
     pub fn digests(&self) -> Vec<u64> {
         self.cells.iter().map(|c| c.digest).collect()
     }
 
     /// Render the attack-success / legitimate-lockout frontier as a
     /// GitHub-flavoured markdown table, one row per grid cell.
-    /// Deterministic given the report (the host banner renders the
-    /// recorded [`SweepReport::host_parallelism`], not the current
-    /// host's).
     pub fn frontier_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str("# Posture sweep frontier\n\n");
@@ -131,21 +116,14 @@ impl SweepReport {
             self.snapshot_day,
             self.cells.len(),
         ));
-        if self.host_parallelism > 0 {
-            out.push_str(&format!(
-                "Recorded on a {}-core host (wall-clock columns only; \
-                 every count and digest is host-independent).\n\n",
-                self.host_parallelism
-            ));
-        }
         out.push_str(
             "| Defense | Recovery | Incidents | Attack successes | \
-             Lockouts | Step-ups | Pivots (won) | Run s |\n\
-             |---|---|---|---|---|---|---|---|\n",
+             Lockouts | Step-ups | Pivots (won) |\n\
+             |---|---|---|---|---|---|---|\n",
         );
         for c in &self.cells {
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} ({}) | {:.2} |\n",
+                "| {} | {} | {} | {} | {} | {} | {} ({}) |\n",
                 c.defense,
                 c.recovery,
                 c.incidents,
@@ -154,7 +132,6 @@ impl SweepReport {
                 c.recovery_step_ups,
                 c.pivot_attempts,
                 c.pivot_takeovers,
-                c.run_s,
             ));
         }
         out
@@ -178,8 +155,6 @@ mod tests {
             pivot_takeovers: 2,
             recovery_lockouts: lockouts,
             recovery_step_ups: lockouts * 3,
-            run_s: 1.25,
-            digest_s: 0.05,
         }
     }
 
@@ -194,30 +169,19 @@ mod tests {
     fn report_round_trips_through_json() {
         let r = sample();
         let json = r.to_json();
-        assert!(json.contains("\"schema\":\"mhw-sweep/v1\""));
+        assert!(json.contains("\"schema\":\"mhw-sweep/v2\""));
         assert!(json.contains("\"recovery_lockouts\":9"));
         let back = SweepReport::from_json(&json).expect("round trip");
         assert_eq!(back, r);
     }
 
     #[test]
-    fn digests_exclude_timings() {
-        let mut a = sample();
-        let mut b = sample();
-        b.cells[0].run_s = 99.0;
-        b.host_parallelism = a.host_parallelism + 8;
-        assert_eq!(a.digests(), b.digests(), "timings must not enter the fingerprint");
-        a.cells[1].digest ^= 1;
-        assert_ne!(a.digests(), b.digests());
-    }
-
-    #[test]
-    fn frontier_renders_cells_and_host_banner() {
+    fn frontier_renders_cells_without_host_or_timing() {
         let md = sample().frontier_markdown();
         assert!(md.contains("# Posture sweep frontier"));
-        assert!(md.contains("-core host"), "host banner missing:\n{md}");
+        assert!(!md.contains("host"), "no host banner:\n{md}");
         // exploited 12 + pivot takeovers 2.
-        assert!(md.contains("| full | strict | 40 | 14 | 9 | 27 | 5 (2) | 1.25 |"), "{md}");
+        assert!(md.contains("| full | strict | 40 | 14 | 9 | 27 | 5 (2) |\n"), "{md}");
         // Deterministic rendering.
         assert_eq!(md, sample().frontier_markdown());
     }

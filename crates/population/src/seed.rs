@@ -77,6 +77,11 @@ pub fn seed_mailbox(
     let n_bulk = 6 + rng.below(10);
     let n_personal = 4 + rng.below(8);
 
+    // One address per sender, shared by every message it sends.
+    let bank = EmailAddress::new("alerts", "firstexamplebank.com");
+    let accounts = EmailAddress::new("no-reply", "accounts.example.net");
+    let friend = EmailAddress::new("friend", "yahoomail.com");
+    let newsletter = EmailAddress::new("newsletter", "deals.example.org");
     // One draft, refilled per message: the provider copies what it keeps.
     let mut draft = MessageDraft::personal(vec![user.address.clone()], "", "");
     let mut deliver = |provider: &mut MailProvider,
@@ -101,7 +106,7 @@ pub fn seed_mailbox(
         let (s, b) = banking_text(user.language, rng.below(100) + i);
         let id = deliver(
             provider,
-            EmailAddress::new("alerts", "firstexamplebank.com"),
+            bank.clone(),
             s,
             b,
             MessageKind::Banking,
@@ -117,7 +122,7 @@ pub fn seed_mailbox(
         let (s, b) = linked_account_text(rng.below(100));
         deliver(
             provider,
-            EmailAddress::new("no-reply", "accounts.example.net"),
+            accounts.clone(),
             s,
             b,
             MessageKind::LinkedCredentials,
@@ -129,7 +134,7 @@ pub fn seed_mailbox(
         let v = rng.below(100);
         deliver(
             provider,
-            EmailAddress::new("friend", "yahoomail.com"),
+            friend.clone(),
             "photos from the weekend",
             "sending you the files we talked about",
             MessageKind::PersonalMedia,
@@ -140,7 +145,7 @@ pub fn seed_mailbox(
     for i in 0..n_bulk {
         deliver(
             provider,
-            EmailAddress::new("newsletter", "deals.example.org"),
+            newsletter.clone(),
             &format!("Weekly deals #{i}"),
             "this week's offers inside",
             MessageKind::Bulk,

@@ -115,10 +115,14 @@ echo "== sweep-smoke =="
 # Posture-sweep gate: a tiny defense × recovery grid forked twice off
 # freshly built snapshots — the run errors unless both passes produce
 # identical per-cell digests and the written BENCH_sweep.json re-reads
-# with the same fingerprint. Does not rewrite the committed
+# with the same fingerprint. The report reads no wall clock, so a
+# second run must write the same bytes. Does not rewrite the committed
 # BENCH_sweep.json — that comes from a full `sweep` run (docs/SWEEPS.md).
-cargo run --offline --release -p mhw-experiments --bin sweep -- \
-    --smoke --out "$fidelity_tmp/BENCH_sweep.json"
+for run in 1 2; do
+    cargo run --offline --release -q -p mhw-experiments --bin sweep -- \
+        --smoke --out "$fidelity_tmp/BENCH_sweep.$run.json"
+done
+cmp "$fidelity_tmp/BENCH_sweep.1.json" "$fidelity_tmp/BENCH_sweep.2.json"
 
 echo "== digest pins =="
 # Absolute digests. Every test above compares dataset digests across

@@ -11,6 +11,7 @@ use manual_hijacking_wild::types::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn arb_message(id: u32, subject: String, body: String, starred: bool) -> Message {
     Message {
@@ -267,6 +268,13 @@ proptest! {
     #[test]
     fn mailbox_matches_the_two_map_model(ops in proptest::collection::vec(0u64..u64::MAX, 1..120)) {
         let (mut mb, mut model) = (Mailbox::new(), MailboxModel::default());
+        // Stored text shares allocations, as the provider's does: two
+        // allocations of each subject and body, paired freely, so
+        // messages repeat a pair, share a subject but not a body (and
+        // the reverse), and hold equal texts in distinct allocations.
+        let twice = |text: &str| [Arc::<str>::from(text), Arc::<str>::from(text)];
+        let subjects: Vec<Arc<str>> = MODEL_TEXTS.iter().flat_map(|(s, _)| twice(s)).collect();
+        let bodies: Vec<Arc<str>> = MODEL_TEXTS.iter().flat_map(|(_, b)| twice(b)).collect();
         let mut next_id = 1u32;
         for (step, x) in ops.into_iter().enumerate() {
             let at = SimTime::from_secs(step as u64 * 10);
@@ -275,8 +283,10 @@ proptest! {
             let folder = MODEL_FOLDERS[((x >> 8) % 5) as usize];
             match x % 100 {
                 0..=34 => {
-                    let (subject, body) = MODEL_TEXTS[((x >> 16) % 6) as usize];
-                    let mut m = arb_message(next_id, subject.into(), body.into(), (x >> 13) % 4 == 0);
+                    let starred = (x >> 13) % 4 == 0;
+                    let mut m = arb_message(next_id, String::new(), String::new(), starred);
+                    m.subject = Arc::clone(&subjects[((x >> 16) % 12) as usize]);
+                    m.body = Arc::clone(&bodies[((x >> 40) % 12) as usize]);
                     m.read = (x >> 12) % 2 == 0;
                     m.attachments = MODEL_ATTACHMENTS[((x >> 24) % 4) as usize]
                         .iter()
