@@ -20,7 +20,6 @@ use mhw_obs::{buckets, MetricId, Registry};
 use mhw_phishkit::{CapturedCredential, CredentialExactness};
 use mhw_simclock::SimRng;
 use mhw_types::{AccountId, EmailAddress, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Hijack sessions run (one per credential picked off a dropbox).
 pub const M_SESSIONS_RUN: MetricId = MetricId("adversary.sessions_run");
@@ -35,7 +34,7 @@ pub const M_DECOY_SESSIONS: MetricId = MetricId("adversary.decoy_sessions");
 pub const M_PICKUP_LATENCY_SECS: MetricId = MetricId("adversary.pickup_latency_secs");
 
 /// How an exploited account was monetized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploitKind {
     /// Few messages, many recipients each (the 65% case).
     ScamBlast,

@@ -14,10 +14,9 @@
 //!   African crews (§7: China/Malaysia "didn't try to use second factor
 //!   enabling").
 
-use serde::{Deserialize, Serialize};
 
 /// Which behavioural era a scenario runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Era {
     /// October 2011: aggressive lockout, mass deletion pays off.
     Y2011,
@@ -27,7 +26,7 @@ pub enum Era {
 }
 
 /// Per-era tactic probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetentionTactics {
     /// P(change the password) — the basic lockout.
     pub p_password_change: f64,
@@ -70,7 +69,7 @@ impl RetentionTactics {
 
 /// What a crew actually did to one account (per-incident ground truth
 /// for the §5.4 measurements).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetentionReport {
     /// The crew changed the password (the §5.4 lockout).
     pub password_changed: bool,

@@ -19,10 +19,9 @@
 
 use mhw_simclock::SimRng;
 use mhw_types::Language;
-use serde::{Deserialize, Serialize};
 
 /// The story line of a scam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScamStyle {
     /// Robbed while travelling — the paper's flagship example.
     MuggedInCity,

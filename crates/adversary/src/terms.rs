@@ -11,10 +11,9 @@
 
 use mhw_simclock::SimRng;
 use mhw_types::Language;
-use serde::{Deserialize, Serialize};
 
 /// The three Table 3 categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermCategory {
     /// Financial standing: wire transfers, bank statements.
     Finance,

@@ -1,11 +1,10 @@
 //! Categorical breakdowns.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A counted categorical breakdown with stable (insertion-independent)
 /// ordering: categories sort by descending count, ties by label.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Breakdown {
     counts: BTreeMap<String, u64>,
 }

@@ -1,10 +1,9 @@
 //! Plain-text rendering and paper-vs-measured comparisons.
 
 use crate::breakdown::Breakdown;
-use serde::{Deserialize, Serialize};
 
 /// One paper-vs-measured row for EXPERIMENTS.md.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// E.g. "Fig 7: decoys accessed within 30 min".
     pub metric: String,
@@ -39,7 +38,7 @@ impl Comparison {
 }
 
 /// A titled group of comparisons (one per experiment).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ComparisonTable {
     /// Section heading (the experiment's name).
     pub title: String,
@@ -56,11 +55,6 @@ impl ComparisonTable {
     /// Append a comparison row.
     pub fn push(&mut self, row: Comparison) {
         self.rows.push(row);
-    }
-
-    /// Whether every row matched.
-    pub fn all_match(&self) -> bool {
-        self.rows.iter().all(|r| r.matches)
     }
 
     /// Render as a GitHub-flavoured markdown section.
@@ -125,9 +119,6 @@ mod tests {
         let md = t.to_markdown();
         assert!(md.contains("### Figure 7"));
         assert!(md.contains("| ≤30 min | 20% | 21.3% | ✓ | ±5pp |"));
-        assert!(t.all_match());
-        t.push(Comparison::new("x", "1", "9", false, ""));
-        assert!(!t.all_match());
     }
 
     #[test]

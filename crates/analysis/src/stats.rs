@@ -1,9 +1,8 @@
 //! Statistical primitives.
 
-use serde::{Deserialize, Serialize};
 
 /// An empirical CDF over `f64` samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -69,16 +68,10 @@ impl Ecdf {
         }
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
-
-    /// Evaluate at several thresholds, returning `(x, P(X ≤ x))` pairs —
-    /// handy for rendering CDF figures.
-    pub fn evaluate_at(&self, xs: &[f64]) -> Vec<(f64, f64)> {
-        xs.iter().map(|x| (*x, self.fraction_at_or_below(*x))).collect()
-    }
 }
 
 /// A fixed-width histogram.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// Lower bound of the first bin.
     pub lo: f64,
@@ -121,20 +114,10 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.overflow
     }
-
-    /// Fraction of samples in bins `[0, upto_bin)`.
-    pub fn fraction_below_bin(&self, upto_bin: usize) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            return 0.0;
-        }
-        let n: u64 = self.counts.iter().take(upto_bin).sum();
-        n as f64 / t as f64
-    }
 }
 
 /// An hourly event-count series (Figure 6's x-axis).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HourlySeries {
     /// Events per simulated hour, index 0 = the first hour.
     pub counts: Vec<u32>,
@@ -242,7 +225,6 @@ mod tests {
         assert_eq!(h.counts, vec![3, 1, 0, 0, 1]); // -1 clamps into bin 0
         assert_eq!(h.overflow, 1);
         assert_eq!(h.total(), 6);
-        assert!((h.fraction_below_bin(2) - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

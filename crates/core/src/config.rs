@@ -3,10 +3,9 @@
 use mhw_adversary::{CrewSpec, Era};
 use mhw_population::PopulationConfig;
 use mhw_recovery::RecoveryPosture;
-use serde::{Deserialize, Serialize};
 
 /// Defense toggles (the §8 ablation surface).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefenseConfig {
     /// Login risk analysis + challenge (§8.2's primary defense).
     pub login_risk_analysis: bool,
@@ -49,7 +48,7 @@ impl DefenseConfig {
 /// adversary pivot — so worlds built before this knob existed reproduce
 /// byte-for-byte (the same contract `market_share: 0.0` keeps for the
 /// credential market).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Score each claim with the [`mhw_recovery::RecoveryRiskService`]
     /// before channel verification. Off reproduces the unscored §6

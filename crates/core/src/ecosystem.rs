@@ -17,7 +17,7 @@
 //! produces.
 
 use crate::config::ScenarioConfig;
-use crate::world::{spam_decision, WorldAdapter, VARIANT_CORRECT};
+use crate::world::{spam_decision, WorldAdapter};
 use mhw_adversary::{CrewRoster, HijackPlaybook, SessionReport};
 use mhw_defense::{
     ActivityMonitor, AnswererCapabilities, LoginContext, LoginPipeline, LoginRequest,
@@ -706,8 +706,8 @@ impl Ecosystem {
     pub fn log_lens(&self) -> [u64; 3] {
         [
             self.login_log.len() as u64,
-            self.provider.log_store().len() as u64,
-            self.notifications.log_store().len() as u64,
+            self.provider.log().len() as u64,
+            self.notifications.log().len() as u64,
         ]
     }
 
@@ -736,8 +736,8 @@ impl Ecosystem {
         mix!("login-edge{:?}{:?}",
             self.login_log.store().first().map(|e| e.key),
             self.login_log.store().last().map(|e| e.key));
-        mix!("mail-edge{:?}", self.provider.log_store().last().map(|e| e.key));
-        mix!("notif-edge{:?}", self.notifications.log_store().last().map(|e| e.key));
+        mix!("mail-edge{:?}", self.provider.log().last().map(|e| e.key));
+        mix!("notif-edge{:?}", self.notifications.log().last().map(|e| e.key));
         mix!("stats{:?}", self.stats);
         mix!("pages{}|takedowns{}", self.pages.len(), self.takedowns.len());
         mix!("incidents{}|{:?}", self.incidents.len(), self.incidents.last());
@@ -1775,12 +1775,6 @@ impl Ecosystem {
     /// Incidents against real users (excluding decoy probes).
     pub fn real_incidents(&self) -> impl Iterator<Item = &Incident> {
         self.incidents.iter().filter(|i| !i.is_decoy)
-    }
-
-    /// The literal string a hijacker presents for a correct-variant
-    /// retry (exposed for tests).
-    pub fn variant_sentinel() -> &'static str {
-        VARIANT_CORRECT
     }
 }
 

@@ -1295,12 +1295,12 @@ impl ShardedRun {
 
     /// All mail-provider events, globally ordered.
     pub fn merged_mail_events(&self) -> Vec<Entry<'_, MailEvent>> {
-        LogStore::merge(self.shards.iter().map(|e| e.provider.log_store()))
+        LogStore::merge(self.shards.iter().map(|e| e.provider.log()))
     }
 
     /// All notification records, globally ordered.
     pub fn merged_notifications(&self) -> Vec<Entry<'_, NotificationRecord>> {
-        LogStore::merge(self.shards.iter().map(|e| e.notifications.log_store()))
+        LogStore::merge(self.shards.iter().map(|e| e.notifications.log()))
     }
 
     /// All incidents, tagged with their shard id.

@@ -103,15 +103,21 @@ impl FaultPlan {
     ///   — e.g. `panic@3.1,slow@2.0:25,ckpt-fail@4:2`;
     /// * seeded: `seeded:panics=N,slow=N,ckpt=N` (any subset of keys),
     ///   expanded via [`FaultPlan::seeded`] from the run's seed and
-    ///   scenario dimensions.
+    ///   scenario dimensions. A count above `days × shards`, the run's
+    ///   shard-days, is refused before anything is drawn.
     ///
     /// Errors are plain strings naming the offending entry; the CLIs
-    /// turn them into usage errors (exit code 2). The grammar itself —
-    /// entry splitting, coordinate helpers, error wording — is shared
-    /// with the serve tier's `ServeFaultPlan` via
-    /// [`mhw_types::faultspec`].
+    /// turn them into usage errors (exit code 2). Coordinates are
+    /// parsed at their own width, so a shard past `u16` or an attempt
+    /// count past `u32` is an error, not a truncated fault point. The
+    /// grammar itself — entry splitting, coordinate helpers, error
+    /// wording, the seeded-count bound — is shared with the serve
+    /// tier's `ServeFaultPlan` via [`mhw_types::faultspec`].
     pub fn parse_spec(spec: &str, seed: u64, days: u64, shards: u16) -> Result<Self, String> {
-        let entries = match faultspec::parse(spec, &["panics", "slow", "ckpt"])? {
+        let shard_days = days.saturating_mul(u64::from(shards));
+        let limit = format!("the run's {shard_days} shard-days");
+        let keys = ["panics", "slow", "ckpt"];
+        let entries = match faultspec::parse(spec, &keys, shard_days, &limit)? {
             faultspec::FaultSpec::Seeded(counts) => {
                 return Ok(FaultPlan::seeded(
                     seed,
@@ -133,27 +139,26 @@ impl FaultPlan {
                     let (day, shard) = faultspec::split2(raw, coords, '.', "panic@DAY.SHARD")?;
                     plan.panics.insert((
                         faultspec::num(raw, day, "day")?,
-                        faultspec::num(raw, shard, "shard")? as ShardId,
+                        faultspec::num(raw, shard, "shard")?,
                     ));
                 }
                 "slow" => {
                     let (at, ms) = faultspec::split2(raw, coords, ':', "slow@DAY.SHARD:MS")?;
                     let (day, shard) = faultspec::split2(raw, at, '.', "slow@DAY.SHARD:MS")?;
                     plan.slowdowns.insert(
-                        (
-                            faultspec::num(raw, day, "day")?,
-                            faultspec::num(raw, shard, "shard")? as ShardId,
-                        ),
+                        (faultspec::num(raw, day, "day")?, faultspec::num(raw, shard, "shard")?),
                         faultspec::num(raw, ms, "millisecond count")?,
                     );
                 }
                 "ckpt-fail" => {
                     let (day, attempts) =
                         faultspec::split2(raw, coords, ':', "ckpt-fail@DAY:ATTEMPTS")?;
-                    *plan
-                        .checkpoint_failures
-                        .entry(faultspec::num(raw, day, "day")?)
-                        .or_insert(0) += faultspec::num(raw, attempts, "attempt count")? as u32;
+                    let day = faultspec::num(raw, day, "day")?;
+                    let attempts: u32 = faultspec::num(raw, attempts, "attempt count")?;
+                    let total = plan.checkpoint_failures.entry(day).or_insert(0);
+                    *total = total.checked_add(attempts).ok_or_else(|| {
+                        format!("fault entry `{raw}`: attempt counts for day {day} sum past u32")
+                    })?;
                 }
                 other => {
                     return Err(faultspec::unknown_kind(other, &["panic", "slow", "ckpt-fail"]))
@@ -299,6 +304,22 @@ mod tests {
         assert!(err.contains("explode"), "{err}");
         let err = FaultPlan::parse_spec("seeded:panics=many", 0, 10, 2).unwrap_err();
         assert!(err.contains("many"), "{err}");
+        // Coordinates past their width are refused, not truncated.
+        for (spec, entry) in [
+            ("panic@1.65536", "panic@1.65536"),
+            ("slow@1.65537:5", "slow@1.65537:5"),
+            ("ckpt-fail@1:4294967296", "ckpt-fail@1:4294967296"),
+            ("ckpt-fail@1:4294967295,ckpt-fail@1:1", "ckpt-fail@1:1"),
+        ] {
+            let err = FaultPlan::parse_spec(spec, 0, 10, 1).unwrap_err();
+            assert!(err.contains(&format!("`{entry}`")), "{spec}: {err}");
+        }
+        // A 2-day, 1-shard run has 2 shard-days to place faults in.
+        let err = FaultPlan::parse_spec("seeded:panics=3", 0, 2, 1).unwrap_err();
+        assert!(err.contains("3 seeded `panics` faults exceed the run's 2 shard-days"), "{err}");
+        let err =
+            FaultPlan::parse_spec("seeded:slow=18446744073709551615,slow=1", 0, 2, 1).unwrap_err();
+        assert!(err.contains("seeded `slow` faults exceed"), "{err}");
     }
 
     #[test]
@@ -324,5 +345,161 @@ mod tests {
         assert_eq!(plan.slowdown_ms(0, 0), None);
         assert_eq!(plan.checkpoint_failures_at(0), 0);
         assert_eq!(plan.to_string(), "(no faults)");
+    }
+}
+
+/// Hostile specs for both fault plans, built from random words: every
+/// kind, separator and width boundary, repeated seeded keys included.
+#[cfg(test)]
+mod spec_proptests {
+    use super::*;
+    use crate::resilience::ServeFaultPlan;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const DAYS: u64 = 10;
+    const SHARDS: u16 = 4;
+    const EVENTS: u64 = 1000;
+
+    /// A canonical decimal from `w`: small, at a `u16`, `u32` or `u64`
+    /// boundary, or any `u64`.
+    fn number(w: u64) -> String {
+        let n = match w % 10 {
+            0..=3 => (w >> 4) % 12,
+            4 => u64::from(u16::MAX),
+            5 => u64::from(u16::MAX) + 1 + (w >> 4) % 2,
+            6 => u64::from(u32::MAX),
+            7 => u64::from(u32::MAX) + 1,
+            8 => u64::MAX,
+            _ => w,
+        };
+        n.to_string()
+    }
+
+    /// A spec from `words`: a seeded count map or explicit entries, in
+    /// engine, serve or mixed vocabulary, sometimes with a separator
+    /// swapped for another or an entry given twice.
+    fn spec(words: &[u64]) -> String {
+        let mut w = words.iter().copied();
+        let mut next = move || w.next().unwrap_or(0);
+        let family = next() % 3;
+        let joiner = [",", ", ", ",,"][(next() % 3) as usize];
+        let mut parts = Vec::new();
+        if next() % 4 == 0 {
+            let keys: &[&str] = match family {
+                0 => &["panics", "slow", "ckpt"],
+                1 => &["geo", "slow", "wipe"],
+                _ => &["panics", "slow", "ckpt", "geo", "wipe", "boom"],
+            };
+            for _ in 0..1 + next() % 4 {
+                let key = keys[(next() % keys.len() as u64) as usize];
+                let w = next();
+                if w % 8 == 0 {
+                    let pair = [u64::MAX, 1 + (w >> 4) % 3];
+                    let first = ((w >> 3) % 2) as usize;
+                    parts.push(format!("{key}={}", pair[first]));
+                    parts.push(format!("{key}={}", pair[1 - first]));
+                } else if ["geo", "wipe", "boom"].contains(&key) {
+                    parts.push(format!("{key}={}", number(w)));
+                } else {
+                    // A huge engine count comes only in the pair above:
+                    // alone, were the bound ever lost, it would expand
+                    // into that many draws and stall the suite instead
+                    // of failing it.
+                    parts.push(format!("{key}={}", (w >> 3) % 48));
+                }
+            }
+            return format!("seeded:{}", parts.join(joiner));
+        }
+        let kinds: &[&str] = match family {
+            0 => &["panic", "slow", "ckpt-fail"],
+            1 => &["geo-down", "slow-signal", "cache-wipe"],
+            _ => &["panic", "slow", "ckpt-fail", "geo-down", "slow-signal", "cache-wipe", "boom"],
+        };
+        for _ in 0..1 + next() % 4 {
+            let kind = kinds[(next() % kinds.len() as u64) as usize];
+            let (a, b, c) = (number(next()), number(next()), number(next()));
+            let source = ["geo", "ip-cache", "ip", "history", "dns"][(next() % 5) as usize];
+            let mut coords = match kind {
+                "panic" => format!("{a}.{b}"),
+                "slow" => format!("{a}.{b}:{c}"),
+                "ckpt-fail" => format!("{a}:{b}"),
+                "geo-down" => format!("{a}..{b}"),
+                "slow-signal" => format!("{source}:{c}"),
+                _ => a,
+            };
+            let w = next();
+            if w % 8 == 0 {
+                let swap = [".", ":", "..", "@", ""][(w >> 3) as usize % 5];
+                coords = coords.replacen(['.', ':'], swap, 1);
+            }
+            parts.push(format!("{kind}@{coords}"));
+            if w % 8 == 1 {
+                parts.push(format!("{kind}@{coords}"));
+            }
+        }
+        parts.join(joiner)
+    }
+
+    /// `parse` accepts or refuses `spec` without panicking, and an
+    /// accepted plan parses back from its rendering to itself. An empty
+    /// plan renders as `(no faults)`, which is not a spec.
+    fn reaches_a_fixed_point<P>(spec: &str, parse: impl Fn(&str) -> Result<P, String>)
+    where
+        P: PartialEq + fmt::Debug + fmt::Display,
+    {
+        let parsed = catch_unwind(AssertUnwindSafe(|| parse(spec)))
+            .unwrap_or_else(|_| panic!("parsing {spec:?} panicked"));
+        if let Ok(plan) = parsed {
+            let text = plan.to_string();
+            if text != "(no faults)" {
+                assert_eq!(parse(&text), Ok(plan), "{spec:?} rendered as {text:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn engine_specs_parse_or_refuse_and_reach_a_fixed_point(
+            words in proptest::collection::vec(0u64..=u64::MAX, 24..25)
+        ) {
+            reaches_a_fixed_point(&spec(&words), |s| FaultPlan::parse_spec(s, 7, DAYS, SHARDS));
+        }
+
+        #[test]
+        fn serve_specs_parse_or_refuse_and_reach_a_fixed_point(
+            words in proptest::collection::vec(0u64..=u64::MAX, 24..25)
+        ) {
+            reaches_a_fixed_point(&spec(&words), |s| ServeFaultPlan::parse_spec(s, 7, EVENTS));
+        }
+
+        /// One canonical entry renders back to its own text, so no
+        /// coordinate is truncated on the way in.
+        #[test]
+        fn a_canonical_entry_renders_as_written(
+            kind in 0u64..6,
+            a in 0u64..=u64::MAX,
+            b in 0u64..=u64::MAX,
+            c in 0u64..=u64::MAX,
+        ) {
+            let (x, y, z) = (number(a), number(b), number(c));
+            let source = ["geo", "ip-cache", "history"][(c % 3) as usize];
+            let text = match kind {
+                0 => format!("panic@{x}.{y}"),
+                1 => format!("slow@{x}.{y}:{z}"),
+                2 => format!("ckpt-fail@{x}:{y}"),
+                3 => format!("geo-down@{x}..{y}"),
+                4 => format!("slow-signal@{source}:{z}"),
+                _ => format!("cache-wipe@{x}"),
+            };
+            let rendered = if kind < 3 {
+                FaultPlan::parse_spec(&text, 0, DAYS, SHARDS).map(|plan| plan.to_string())
+            } else {
+                ServeFaultPlan::parse_spec(&text, 0, EVENTS).map(|plan| plan.to_string())
+            };
+            if let Ok(rendered) = rendered {
+                prop_assert_eq!(rendered, text);
+            }
+        }
     }
 }

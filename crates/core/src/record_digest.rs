@@ -166,13 +166,6 @@ impl RecordDigest {
                 self.int(*count as u64);
                 self.lit(lit!(" }"));
             }
-            MailEventKind::Moved { message, to } => {
-                self.lit(lit!("Moved { message: MessageId("));
-                self.int(message.0.into());
-                self.lit(lit!("), to: "));
-                self.folder(*to);
-                self.lit(lit!(" }"));
-            }
             MailEventKind::Purged { message } => {
                 self.lit(lit!("Purged { message: MessageId("));
                 self.int(message.0.into());
@@ -453,7 +446,6 @@ mod tests {
             MailEventKind::Searched { query: g.string() },
             MailEventKind::FolderOpened { folder: g.pick(&folders) },
             MailEventKind::ContactsViewed { count: g.int(u64::MAX) as usize },
-            MailEventKind::Moved { message: MessageId(g.u32()), to: g.pick(&folders) },
             MailEventKind::Purged { message: MessageId(g.u32()) },
             MailEventKind::FilterCreated { filter: FilterId(g.u32()) },
             MailEventKind::FilterRemoved { filter: FilterId(g.u32()) },

@@ -92,7 +92,7 @@ impl ReplayLog {
 }
 
 /// Parameters for a synthetic serve-mode workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Simulated user population.
     pub users: u32,

@@ -94,12 +94,6 @@ impl ServeFaultPlan {
         self
     }
 
-    /// Wipe the IP cache just before event `index` is scored.
-    pub fn wipe_at(mut self, index: u64) -> Self {
-        self.cache_wipes.insert(index);
-        self
-    }
-
     /// A reproducible random schedule over `n_events` events, drawn
     /// from the dedicated `"serve-fault-plan"` RNG stream: `n_geo` geo
     /// outage windows (~10% of the stream each), `n_slow` slow-signal
@@ -137,22 +131,17 @@ impl ServeFaultPlan {
     /// `n_events` is one: the plan holds one window per geo fault, so
     /// the count must be bounded before anything is allocated.
     pub fn parse_spec(spec: &str, seed: u64, n_events: u64) -> Result<Self, String> {
-        let entries = match faultspec::parse(spec, &["geo", "slow", "wipe"])? {
+        let limit = format!("the stream's {n_events} events");
+        let entries = match faultspec::parse(spec, &["geo", "slow", "wipe"], n_events, &limit)? {
             faultspec::FaultSpec::Seeded(counts) => {
-                let count = |kind: &str| match counts.get(kind) {
-                    n if n > n_events => Err(format!(
-                        "fault spec `{spec}`: {n} seeded `{kind}` faults exceed the \
-                         stream's {n_events} events"
-                    )),
-                    n => usize::try_from(n)
-                        .map_err(|_| format!("fault spec `{spec}`: {n} is too large")),
-                };
+                // Each count is at most `n_events`, the length of an
+                // in-memory stream, so it fits a `usize`.
                 return Ok(ServeFaultPlan::seeded(
                     seed,
                     n_events,
-                    count("geo")?,
-                    count("slow")?,
-                    count("wipe")?,
+                    counts.get("geo") as usize,
+                    counts.get("slow") as usize,
+                    counts.get("wipe") as usize,
                 ));
             }
             faultspec::FaultSpec::Explicit(entries) => entries,
@@ -577,6 +566,14 @@ mod tests {
         let err = ServeFaultPlan::parse_spec("seeded:geo=4000000000,slow=4000000000", 0, 10_000)
             .unwrap_err();
         assert!(err.contains("4000000000 seeded `geo` faults"), "{err}");
+        // Repeated keys add up without overflowing.
+        for spec in [
+            "seeded:geo=18446744073709551615,geo=1",
+            "seeded:geo=1,geo=18446744073709551615",
+        ] {
+            let err = ServeFaultPlan::parse_spec(spec, 0, 100).unwrap_err();
+            assert!(err.contains("seeded `geo` faults exceed the stream's 100 events"), "{err}");
+        }
         let at_cap =
             ServeFaultPlan::parse_spec("seeded:geo=100,slow=100,wipe=100", 0, 100).unwrap();
         assert_eq!(at_cap, ServeFaultPlan::seeded(0, 100, 100, 100, 100));

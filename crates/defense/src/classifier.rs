@@ -12,12 +12,11 @@
 //! link-to-page and reply-with-credentials).
 
 use mhw_mailsys::Message;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Classifier output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MailClass {
     Clean,
     Scam,

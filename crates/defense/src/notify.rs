@@ -13,8 +13,7 @@
 use mhw_identity::RecoveryOptions;
 use mhw_obs::{MetricId, Registry};
 use mhw_simclock::SimRng;
-use mhw_types::{AccountId, Entry, EventSink, LogStore, ShardId, SimTime};
-use serde::{Deserialize, Serialize};
+use mhw_types::{AccountId, Entry, LogStore, ShardId, SimTime};
 
 /// Notification attempts fired (any channel, including none-on-file).
 pub const M_NOTIFICATIONS_SENT: MetricId = MetricId("defense.notifications_sent");
@@ -22,7 +21,7 @@ pub const M_NOTIFICATIONS_SENT: MetricId = MetricId("defense.notifications_sent"
 pub const M_NOTIFICATIONS_DELIVERED: MetricId = MetricId("defense.notifications_delivered");
 
 /// The critical events that trigger a notification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NotificationEvent {
     PasswordChanged,
     RecoveryOptionsChanged,
@@ -31,7 +30,7 @@ pub enum NotificationEvent {
 }
 
 /// The independent channel used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NotificationChannel {
     Sms,
     SecondaryEmail,
@@ -41,7 +40,7 @@ pub enum NotificationChannel {
 }
 
 /// One notification attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NotificationRecord {
     pub at: SimTime,
     pub account: AccountId,
@@ -120,17 +119,12 @@ impl NotificationEngine {
         if delivered {
             self.metrics.inc(M_NOTIFICATIONS_DELIVERED);
         }
-        self.log.emit(at, record);
+        self.log.append(at, record);
         record
     }
 
     /// The engine's notification log.
     pub fn log(&self) -> &LogStore<NotificationRecord> {
-        &self.log
-    }
-
-    /// The underlying segment (for cross-shard merging).
-    pub fn log_store(&self) -> &LogStore<NotificationRecord> {
         &self.log
     }
 
@@ -142,7 +136,7 @@ impl NotificationEngine {
         since: SimTime,
     ) -> Option<Entry<'_, NotificationRecord>> {
         self.log
-            .entries()
+            .iter()
             .find(|r| r.account == account && r.at >= since && r.delivered)
     }
 }

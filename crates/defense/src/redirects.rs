@@ -17,10 +17,9 @@
 
 use mhw_mailsys::{FilterAction, MailFilter};
 use mhw_types::EmailAddress;
-use serde::{Deserialize, Serialize};
 
 /// Verdict for one redirect target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RedirectVerdict {
     /// Looks like an ordinary secondary address.
     Benign,

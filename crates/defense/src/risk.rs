@@ -7,11 +7,10 @@
 //! the trade-off the ROC experiment (`exp_defense_roc`) sweeps.
 
 use crate::signals::LoginSignals;
-use serde::{Deserialize, Serialize};
 
 /// Per-signal weights. Each weight is the maximum probability mass the
 /// signal can contribute; `0` disables a signal (ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RiskWeights {
     pub new_country: f64,
     pub impossible_travel: f64,
@@ -67,7 +66,7 @@ impl RiskWeights {
 }
 
 /// The decision for one login attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RiskDecision {
     /// Let the login proceed.
     Allow,
@@ -78,7 +77,7 @@ pub enum RiskDecision {
 }
 
 /// The risk engine: weights + thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RiskEngine {
     pub weights: RiskWeights,
     /// Scores ≥ this are challenged.

@@ -38,7 +38,7 @@
 
 use crate::lru::LruCache;
 use crate::small_list::SmallList;
-use mhw_types::{AccountId, CountryCode, DenseMap, DeviceId, IpAddr, SimDuration, SimTime, DAY, HOUR};
+use mhw_types::{AccountId, CountryCode, DenseMap, DeviceId, IpAddr, SimDuration, SimTime};
 
 /// Sliding-window cap on devices remembered per account.
 ///
@@ -59,8 +59,8 @@ pub const DEFAULT_IP_CACHE_CAPACITY: usize = 65_536;
 
 /// Cap on distinct accounts counted per IP per day.
 ///
-/// The fan-out signal clamps at [`SATURATING_FANOUT`] accounts, so the
-/// count saturating at 64 is semantically invisible.
+/// The fan-out signal clamps at 20 accounts, so the count saturating
+/// at 64 is semantically invisible.
 pub const MAX_ACCOUNTS_PER_IP: usize = 64;
 
 /// Inline device slots per account before the window spills to the heap.
@@ -513,14 +513,10 @@ pub fn extract_signals(
     s
 }
 
-/// Convenience consts used by calibration tests.
-pub const SATURATING_FANOUT: usize = 20;
-/// Documentation anchors keeping the day/hour constants referenced.
-pub const _DOC_ANCHORS: (u64, u64) = (DAY, HOUR);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhw_types::{DAY, HOUR};
 
     fn seasoned_history() -> AccountHistory {
         let mut h = AccountHistory::default();

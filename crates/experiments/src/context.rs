@@ -46,9 +46,8 @@ pub struct Context {
     pub eco_lockout: Ecosystem,
     /// The §4.2 hosted-form campaign batch (Figures 3–6).
     pub forms: FormCampaignOutput,
-    /// The §5.1 decoy experiment (Figure 7) and its world.
-    pub decoy_eco: Ecosystem,
-    /// The decoy-injection outcomes measured on [`Context::decoy_eco`].
+    /// The decoy-injection outcomes of the §5.1 decoy experiment
+    /// (Figure 7).
     pub decoys: DecoyReport,
 }
 
@@ -304,11 +303,11 @@ impl Context {
                 }
                 _ => {
                     let mut decoy_config = base(seed ^ 0xdec0);
-                    let out = run_decoy_experiment(decoy_config.clone(), n_decoys, {
+                    let (_, report) = run_decoy_experiment(decoy_config.clone(), n_decoys, {
                         decoy_config.days = decoy_config.days.max(10);
                         (decoy_config.days / 2).max(3)
                     });
-                    *decoy.lock().expect("slot poisoned") = Some(out);
+                    *decoy.lock().expect("slot poisoned") = Some(report);
                 }
             })
         },
@@ -324,7 +323,6 @@ impl Context {
         let take = |slot: Mutex<Option<Ecosystem>>| {
             slot.into_inner().expect("slot poisoned").expect("world built")
         };
-        let (decoy_eco, decoys) = decoy.into_inner().expect("slot poisoned").expect("run done");
         Ok(Context {
             scale,
             seed,
@@ -332,8 +330,7 @@ impl Context {
             eco_2011: take(eco_2011),
             eco_lockout: take(eco_lockout),
             forms: forms.into_inner().expect("slot poisoned").expect("run done"),
-            decoy_eco,
-            decoys,
+            decoys: decoy.into_inner().expect("slot poisoned").expect("run done"),
         })
     }
 

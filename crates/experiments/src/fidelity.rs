@@ -47,10 +47,6 @@ pub struct CalibrationTarget {
     pub paper_claim: &'static str,
     /// Module whose `measure()` produces the compared values.
     pub module: &'static str,
-    /// Whether the target can be scored from a single finished world
-    /// ([`validate_world`]) rather than the full multi-world
-    /// [`Context`].
-    pub world_derivable: bool,
 }
 
 /// The calibration-target registry, in scorecard order. Every paper
@@ -63,7 +59,6 @@ pub fn registry() -> &'static [CalibrationTarget] {
             title: "Table 1 — dataset inventory",
             paper_claim: "14 datasets behind the study, all non-empty",
             module: "mhw_experiments::table1_datasets",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "T2",
@@ -71,84 +66,72 @@ pub fn registry() -> &'static [CalibrationTarget] {
             paper_claim: "emails: Mail 35/Bank 21/App 16/Social 14/Other 14 of 100; \
                           pages: 27/25/17/15/15 of 99; 62% of emails carry a URL",
             module: "mhw_experiments::table2_targets",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "T3",
             title: "Table 3 — hijacker search terms",
             paper_claim: "finance ≈93% of column mass; `wire transfer` top (14.4%)",
             module: "mhw_experiments::table3_terms",
-            world_derivable: true,
         },
         CalibrationTarget {
             id: "F3",
             title: "Figure 3 — HTTP referrers",
             paper_claim: ">99% blank referrers",
             module: "mhw_experiments::fig3_referrers",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "F4",
             title: "Figure 4 — phished-address TLDs",
             paper_claim: ">99% of phished addresses from .edu",
             module: "mhw_experiments::fig4_tlds",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "F5",
             title: "Figure 5 — page conversion rates",
             paper_claim: "mean 13.7%, best ≈45%, worst ≈3%",
             module: "mhw_experiments::fig5_conversion",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "F6",
             title: "Figure 6 — submission arrivals",
             paper_claim: "standard pages decay; outlier quiet ≈15 h then diurnal days",
             module: "mhw_experiments::fig6_arrivals",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "F7",
             title: "Figure 7 — decoy access speed",
             paper_claim: "20% accessed ≤30 min, 50% ≤7 h, some never",
             module: "mhw_experiments::fig7_decoys",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "F8",
             title: "Figure 8 — per-IP discipline",
             paper_claim: "≈9.6 accounts/IP/day, consistently under 10; password correct 75%",
             module: "mhw_experiments::fig8_ip_discipline",
-            world_derivable: true,
         },
         CalibrationTarget {
             id: "F9",
             title: "Figure 9 — recovery latency",
             paper_claim: "22% reclaimed ≤1 h, 50% ≤13 h after flagging",
             module: "mhw_experiments::fig9_recovery_latency",
-            world_derivable: true,
         },
         CalibrationTarget {
             id: "F10",
             title: "Figure 10 — recovery method success",
             paper_claim: "SMS 80.91%, secondary email 74.57%, fallback 14.20%",
             module: "mhw_experiments::fig10_recovery_methods",
-            world_derivable: true,
         },
         CalibrationTarget {
             id: "F11",
             title: "Figure 11 — hijacker IP origins",
             paper_claim: "CN+MY dominant (≈45%), ZA ≈10%",
             module: "mhw_experiments::fig11_ip_origins",
-            world_derivable: true,
         },
         CalibrationTarget {
             id: "F12",
             title: "Figure 12 — hijacker phone origins",
             paper_claim: "NG 35.7%, CI 33.8%, ZA ≈10%; CN/MY absent",
             module: "mhw_experiments::fig12_phone_origins",
-            world_derivable: false,
         },
         CalibrationTarget {
             id: "SEC5",
@@ -156,7 +139,6 @@ pub fn registry() -> &'static [CalibrationTarget] {
             paper_claim: "3-min profiling; folders .16/.11/.05; 65% ≤5 msgs; \
                           6% custom; 35% phishing share",
             module: "mhw_experiments::sec5_stats",
-            world_derivable: true,
         },
     ];
     REGISTRY

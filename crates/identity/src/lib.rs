@@ -26,4 +26,4 @@ pub mod twofactor;
 pub use credentials::{is_trivial_variant, CredentialStore, PasswordChange};
 pub use login::{ChallengeKind, ChallengeResult, LoginLog, LoginOutcome, LoginRecord};
 pub use options::{OptionChange, RecoveryEmail, RecoveryOptions, RecoveryPhone, SecretQuestion};
-pub use twofactor::{FactorKind, TwoFactorAudit, TwoFactorState};
+pub use twofactor::{TwoFactorAudit, TwoFactorState};

@@ -8,8 +8,8 @@
 
 use mhw_obs::{MetricId, Registry};
 use mhw_types::{
-    AccountId, Actor, DeviceId, Entries, Entry, EventSink, IpAddr, LogKey, LogStore, SessionId,
-    ShardId, SimTime,
+    AccountId, Actor, DeviceId, Entries, Entry, IpAddr, LogKey, LogStore, SessionId, ShardId,
+    SimTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +30,7 @@ pub const M_SECOND_FACTOR_FAILURES: MetricId = MetricId("identity.second_factor_
 
 /// The verification step a risky login was redirected to (§8.2's "login
 /// challenge").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChallengeKind {
     /// Prove possession of the enrolled/registered phone via SMS code.
     SmsCode,
@@ -39,7 +39,7 @@ pub enum ChallengeKind {
 }
 
 /// Outcome of a served challenge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChallengeResult {
     pub kind: ChallengeKind,
     pub passed: bool,
@@ -69,7 +69,7 @@ impl LoginOutcome {
 }
 
 /// One login attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoginRecord {
     pub at: SimTime,
     pub account: AccountId,
@@ -154,8 +154,8 @@ impl LoginLog {
     /// time order (concurrent sessions interleave, exactly like real
     /// log ingestion), so every query below is order-independent.
     pub fn append(&mut self, record: LoginRecord) -> LogKey {
-        let at = record.at;
-        self.emit(at, record)
+        self.count(&record);
+        self.store.append(record.at, record)
     }
 
     fn count(&self, record: &LoginRecord) {
@@ -194,48 +194,9 @@ impl LoginLog {
         self.store.is_empty()
     }
 
-    /// First *successful* access to `account` at/after `since` — the
-    /// Figure 7 decoy-credential measurement probe.
-    pub fn first_success_after(
-        &self,
-        account: AccountId,
-        since: SimTime,
-    ) -> Option<Entry<'_, LoginRecord>> {
-        self.store
-            .iter()
-            .filter(|r| r.account == account && r.at >= since && r.outcome.is_success())
-            .min_by_key(|r| r.at)
-    }
-
     /// All records for an account.
     pub fn for_account(&self, account: AccountId) -> impl Iterator<Item = Entry<'_, LoginRecord>> {
         self.store.iter().filter(move |r| r.account == account)
-    }
-
-    /// All records from an IP.
-    pub fn from_ip(&self, ip: IpAddr) -> impl Iterator<Item = Entry<'_, LoginRecord>> {
-        self.store.iter().filter(move |r| r.ip == ip)
-    }
-
-    /// Distinct accounts attempted from `ip` on UTC day `day_index` —
-    /// the Figure 8 per-IP discipline measurement.
-    pub fn distinct_accounts_from_ip_on_day(&self, ip: IpAddr, day_index: u64) -> usize {
-        let mut accounts: Vec<AccountId> = self
-            .store
-            .iter()
-            .filter(|r| r.ip == ip && r.at.day_index() == day_index)
-            .map(|r| r.account)
-            .collect();
-        accounts.sort();
-        accounts.dedup();
-        accounts.len()
-    }
-}
-
-impl EventSink<LoginRecord> for LoginLog {
-    fn emit(&mut self, at: SimTime, record: LoginRecord) -> LogKey {
-        self.count(&record);
-        self.store.emit(at, record)
     }
 }
 
@@ -268,45 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn first_success_after_finds_the_probe() {
-        let mut log = LoginLog::new();
-        let ip = IpAddr::new(41, 0, 0, 1);
-        log.append(rec(100, 1, ip, LoginOutcome::WrongPassword));
-        log.append(rec(200, 1, ip, LoginOutcome::Success));
-        log.append(rec(300, 1, ip, LoginOutcome::Success));
-        let hit = log.first_success_after(AccountId(1), SimTime::from_secs(50)).unwrap();
-        assert_eq!(hit.at, SimTime::from_secs(200));
-        // A later horizon skips the earlier success.
-        let hit2 = log.first_success_after(AccountId(1), SimTime::from_secs(250)).unwrap();
-        assert_eq!(hit2.at, SimTime::from_secs(300));
-        assert!(log.first_success_after(AccountId(2), SimTime::from_secs(0)).is_none());
-    }
-
-    #[test]
-    fn per_ip_day_distinct_accounts() {
-        let mut log = LoginLog::new();
-        let ip = IpAddr::new(41, 0, 0, 9);
-        let other = IpAddr::new(42, 0, 0, 9);
-        // Day 0: accounts 1, 2, 2 (dup), day 1: account 3.
-        log.append(rec(100, 1, ip, LoginOutcome::Success));
-        log.append(rec(200, 2, ip, LoginOutcome::WrongPassword));
-        log.append(rec(300, 2, ip, LoginOutcome::Success));
-        log.append(rec(500, 7, other, LoginOutcome::Success));
-        log.append(rec(86_400 + 10, 3, ip, LoginOutcome::Success));
-        assert_eq!(log.distinct_accounts_from_ip_on_day(ip, 0), 2);
-        assert_eq!(log.distinct_accounts_from_ip_on_day(ip, 1), 1);
-        assert_eq!(log.distinct_accounts_from_ip_on_day(other, 0), 1);
-        assert_eq!(log.distinct_accounts_from_ip_on_day(ip, 5), 0);
-    }
-
-    #[test]
     fn iterators_filter_correctly() {
         let mut log = LoginLog::new();
         let ip = IpAddr::new(41, 0, 0, 1);
         log.append(rec(1, 1, ip, LoginOutcome::Success));
         log.append(rec(2, 2, ip, LoginOutcome::Blocked));
         assert_eq!(log.for_account(AccountId(1)).count(), 1);
-        assert_eq!(log.from_ip(ip).count(), 2);
         assert_eq!(log.len(), 2);
     }
 

@@ -113,18 +113,6 @@ impl RecoveryOptions {
         a.changes.push(OptionChange { at, actor, what: "email" });
     }
 
-    pub fn set_question(
-        &mut self,
-        account: AccountId,
-        actor: Actor,
-        question: Option<SecretQuestion>,
-        at: SimTime,
-    ) {
-        let a = &mut self.accounts[account.index()];
-        a.question = question;
-        a.changes.push(OptionChange { at, actor, what: "question" });
-    }
-
     /// Initial (unaudited) setup at account creation; used by the
     /// population builder so that "user never changed their options"
     /// remains distinguishable in the audit trail.
@@ -139,14 +127,6 @@ impl RecoveryOptions {
         a.phone = phone;
         a.email = email;
         a.question = question;
-    }
-
-    /// Mark the secondary email as recycled (provider-side expiry
-    /// discovered later; §6.3's 7%).
-    pub fn mark_email_recycled(&mut self, account: AccountId) {
-        if let Some(e) = &mut self.accounts[account.index()].email {
-            e.recycled = true;
-        }
     }
 
     /// All audited changes.
@@ -223,30 +203,6 @@ mod tests {
         assert!(!o.hijacker_changed_since(AccountId(0), SimTime::from_secs(0)));
         assert_eq!(o.changes(AccountId(0)).len(), 1);
         assert_eq!(o.changes(AccountId(0))[0].what, "email");
-    }
-
-    #[test]
-    fn recycling_marker() {
-        let mut o = RecoveryOptions::new();
-        o.register(AccountId(0));
-        o.init(
-            AccountId(0),
-            None,
-            Some(RecoveryEmail {
-                address: EmailAddress::new("me", "expiring.com"),
-                verified: false,
-                mistyped: false,
-                recycled: false,
-            }),
-            None,
-        );
-        o.mark_email_recycled(AccountId(0));
-        assert!(o.get(AccountId(0)).email.as_ref().unwrap().recycled);
-        // Marking with no email on file is a no-op.
-        let mut o2 = RecoveryOptions::new();
-        o2.register(AccountId(0));
-        o2.mark_email_recycled(AccountId(0));
-        assert!(o2.get(AccountId(0)).email.is_none());
     }
 
     #[test]

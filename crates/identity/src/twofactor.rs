@@ -13,18 +13,6 @@
 
 use mhw_types::{AccountId, Actor, PhoneNumber, SimTime};
 
-/// The kind of second factor enrolled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FactorKind {
-    /// SMS/app codes to a phone — strong, but the enrolled phone can be
-    /// swapped (the crews' lockout tactic) and codes can be phished.
-    Phone,
-    /// A hardware security key (§8.2's "alternatives \[7\]", the gnubby
-    /// line of work): unphishable, and enrolment changes require
-    /// touching the key, so crews can neither pass nor swap it.
-    SecurityKey,
-}
-
 /// One 2FA enrolment/disablement event.
 #[derive(Debug, Clone)]
 pub struct TwoFactorAudit {
@@ -64,18 +52,6 @@ impl TwoFactorState {
         a.phone.is_some() || a.security_key
     }
 
-    /// The enrolled factor kind, if any.
-    pub fn factor_kind(&self, account: AccountId) -> Option<FactorKind> {
-        let a = &self.accounts[account.index()];
-        if a.security_key {
-            Some(FactorKind::SecurityKey)
-        } else if a.phone.is_some() {
-            Some(FactorKind::Phone)
-        } else {
-            None
-        }
-    }
-
     /// Enrol a hardware security key. Once a key protects the account,
     /// phone-based (re-)enrolment is refused — swapping the factor
     /// requires the key, which is exactly what defeats the crews'
@@ -85,11 +61,6 @@ impl TwoFactorState {
         a.security_key = true;
         a.phone = None;
         a.audit.push(TwoFactorAudit { at, actor, phone: None });
-    }
-
-    /// Whether the account is protected by a security key.
-    pub fn has_security_key(&self, account: AccountId) -> bool {
-        self.accounts[account.index()].security_key
     }
 
     /// The enrolled phone, if any.
@@ -116,18 +87,6 @@ impl TwoFactorState {
         a.phone = None;
         a.security_key = false;
         a.audit.push(TwoFactorAudit { at, actor, phone: None });
-    }
-
-    /// Issue an application-specific password for a legacy client.
-    /// Returns the token. ASPs bypass the second factor at login —
-    /// which is why §8.2 calls them "far from ideal".
-    pub fn issue_app_password(&mut self, account: AccountId, token: &str) {
-        self.accounts[account.index()].app_passwords.push(token.to_string());
-    }
-
-    /// Verify an ASP token.
-    pub fn verify_app_password(&self, account: AccountId, token: &str) -> bool {
-        self.accounts[account.index()].app_passwords.iter().any(|t| t == token)
     }
 
     /// Revoke all ASPs (part of recovery cleanup).
@@ -201,21 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn app_passwords() {
-        let mut s = state1();
-        s.issue_app_password(AccountId(0), "asp-legacy-imap");
-        assert!(s.verify_app_password(AccountId(0), "asp-legacy-imap"));
-        assert!(!s.verify_app_password(AccountId(0), "other"));
-        assert_eq!(s.revoke_app_passwords(AccountId(0)), 1);
-        assert!(!s.verify_app_password(AccountId(0), "asp-legacy-imap"));
-    }
-
-    #[test]
     fn security_key_refuses_phone_swap() {
         let mut s = state1();
         s.enroll_security_key(AccountId(0), Actor::Owner, SimTime::from_secs(1));
         assert!(s.enabled(AccountId(0)));
-        assert_eq!(s.factor_kind(AccountId(0)), Some(FactorKind::SecurityKey));
         // The crews' lockout tactic bounces off.
         let ok = s.enable(
             AccountId(0),
@@ -224,17 +172,7 @@ mod tests {
             SimTime::from_secs(100),
         );
         assert!(!ok);
-        assert_eq!(s.factor_kind(AccountId(0)), Some(FactorKind::SecurityKey));
+        assert_eq!(s.phone(AccountId(0)), None);
         assert!(s.hijacker_enrolled_phones_since(SimTime::from_secs(0)).is_empty());
-    }
-
-    #[test]
-    fn factor_kinds_report_correctly() {
-        let mut s = state1();
-        assert_eq!(s.factor_kind(AccountId(0)), None);
-        assert!(s.enable(AccountId(0), Actor::Owner, ng_phone(1), SimTime::from_secs(1)));
-        assert_eq!(s.factor_kind(AccountId(0)), Some(FactorKind::Phone));
-        s.disable(AccountId(0), Actor::Owner, SimTime::from_secs(2));
-        assert_eq!(s.factor_kind(AccountId(0)), None);
     }
 }

@@ -7,13 +7,12 @@
 
 use crate::mailbox::Folder;
 use mhw_types::{AccountId, EmailAddress, FilterId, MessageId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Re-exported ground-truth actor type (shared across the workspace).
 pub use mhw_types::Actor;
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MailEventKind {
     /// A message was sent from this account to `recipients` addresses.
     Sent { message: MessageId, recipients: usize },
@@ -28,8 +27,6 @@ pub enum MailEventKind {
     FolderOpened { folder: Folder },
     /// The contact list was viewed.
     ContactsViewed { count: usize },
-    /// A message was moved to a folder (incl. Trash = soft delete).
-    Moved { message: MessageId, to: Folder },
     /// A message was permanently deleted (tombstoned).
     Purged { message: MessageId },
     /// A filter was created.
@@ -45,28 +42,10 @@ pub enum MailEventKind {
 }
 
 /// One record in the provider activity log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MailEvent {
     pub at: SimTime,
     pub account: AccountId,
     pub actor: Actor,
     pub kind: MailEventKind,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_serialize() {
-        let e = MailEvent {
-            at: SimTime::from_secs(60),
-            account: AccountId(3),
-            actor: Actor::Owner,
-            kind: MailEventKind::Searched { query: "wire transfer".into() },
-        };
-        let j = serde_json::to_string(&e).unwrap();
-        let back: MailEvent = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, e);
-    }
 }

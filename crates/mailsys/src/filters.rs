@@ -11,10 +11,9 @@
 use crate::mailbox::Folder;
 use crate::message::{contains_ignore_ascii_case, Message};
 use mhw_types::{EmailAddress, FilterId};
-use serde::{Deserialize, Serialize};
 
 /// What a matching filter does.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterAction {
     /// Route the message to a folder on delivery (Trash/Spam hiding).
     MoveTo(Folder),
@@ -27,7 +26,7 @@ pub enum FilterAction {
 }
 
 /// A delivery-time filter rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MailFilter {
     pub id: FilterId,
     /// Match messages from this exact address (if set).
@@ -60,17 +59,6 @@ impl MailFilter {
             }
         }
         any_criterion
-    }
-
-    /// Whether this filter forwards mail off the account — the signal
-    /// the recovery review surfaces to the owner (§5.4: "it is essential
-    /// during the account recovery process to have these settings
-    /// reviewed … or automatically cleared").
-    pub fn forwards_externally(&self) -> bool {
-        matches!(
-            self.action,
-            FilterAction::ForwardTo(_) | FilterAction::ForwardAndTrash(_)
-        )
     }
 }
 
@@ -226,19 +214,6 @@ mod tests {
         let out = apply_filters(&filters, &msg("x", "y"));
         assert_eq!(out.route_to, Some(Folder::Trash));
         assert!(out.forward_to.is_some());
-    }
-
-    #[test]
-    fn external_forwarding_detection() {
-        assert!(fwd(1, "e").forwards_externally());
-        let mover = MailFilter {
-            id: FilterId(2),
-            match_from: None,
-            match_subject_contains: None,
-            match_all: true,
-            action: FilterAction::MoveTo(Folder::Trash),
-        };
-        assert!(!mover.forwards_externally());
     }
 
     #[test]

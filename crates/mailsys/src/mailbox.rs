@@ -8,11 +8,10 @@
 
 use crate::message::Message;
 use mhw_types::{AccountId, EmailAddress, MessageId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Mailbox folders. `Starred` never stores messages — it is materialized
 /// from the starred flag when opened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Folder {
     Inbox,
     Starred,
@@ -39,7 +38,7 @@ impl Folder {
 }
 
 /// A contact-list entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContactEntry {
     pub address: EmailAddress,
     /// The contact's account id if they use the home provider.

@@ -9,13 +9,12 @@
 //! detectors, which must classify from content.
 
 use mhw_types::{AccountId, EmailAddress, MessageId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Ground-truth provenance of a message. Detection code must not branch
 /// on this; the measurement pipeline uses it to validate classifier
 /// output and to label datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// Ordinary person-to-person mail.
     Personal,
@@ -74,11 +73,6 @@ impl MessageDraft {
 
     pub fn with_kind(mut self, kind: MessageKind) -> Self {
         self.kind = kind;
-        self
-    }
-
-    pub fn with_attachments(mut self, attachments: Vec<String>) -> Self {
-        self.attachments = attachments;
         self
     }
 
@@ -212,10 +206,8 @@ mod tests {
     fn draft_builders() {
         let d = MessageDraft::personal(vec![EmailAddress::new("b", "y.com")], "hi", "there")
             .with_kind(MessageKind::Banking)
-            .with_attachments(vec!["statement.pdf".into()])
             .with_reply_to(EmailAddress::new("evil", "dopp.com"));
         assert_eq!(d.kind, MessageKind::Banking);
-        assert_eq!(d.attachments.len(), 1);
         assert!(d.reply_to.is_some());
     }
 }

@@ -14,8 +14,7 @@ use crate::message::{Message, MessageDraft};
 use crate::search::{search, SearchQuery};
 use mhw_obs::{MetricId, Registry};
 use mhw_types::{
-    AccountId, EmailAddress, EventSink, FilterId, Interner, LogStore, MessageId, ShardId, SimTime,
-    Sym,
+    AccountId, EmailAddress, FilterId, Interner, LogStore, MessageId, ShardId, SimTime, Sym,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -192,18 +191,13 @@ impl MailProvider {
         &self.log
     }
 
-    /// The underlying segment (for cross-shard merging).
-    pub fn log_store(&self) -> &LogStore<MailEvent> {
-        &self.log
-    }
-
     /// The provider's metrics registry (send/delivery/search counters).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
     fn push_event(&mut self, at: SimTime, account: AccountId, actor: Actor, kind: MailEventKind) {
-        self.log.emit(at, MailEvent { at, account, actor, kind });
+        self.log.append(at, MailEvent { at, account, actor, kind });
     }
 
     fn alloc_message(&mut self) -> MessageId {
@@ -417,21 +411,6 @@ impl MailProvider {
     }
 
     // ---- moving & deleting ----
-
-    pub fn move_message(
-        &mut self,
-        account: AccountId,
-        actor: Actor,
-        id: MessageId,
-        to: Folder,
-        at: SimTime,
-    ) -> bool {
-        let ok = self.accounts[account.index()].mailbox.move_to(id, to).is_some();
-        if ok {
-            self.push_event(at, account, actor, MailEventKind::Moved { message: id, to });
-        }
-        ok
-    }
 
     pub fn purge_message(
         &mut self,

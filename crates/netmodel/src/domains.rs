@@ -11,10 +11,9 @@
 
 use mhw_simclock::SimRng;
 use mhw_types::{EmailAddress, EmailDomainClass};
-use serde::{Deserialize, Serialize};
 
 /// A mail domain with its operational class.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MailDomain {
     pub name: String,
     pub class: EmailDomainClass,

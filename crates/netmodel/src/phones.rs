@@ -36,16 +36,6 @@ impl PhonePlan {
             }
         }
     }
-
-    /// Number of numbers issued so far.
-    pub fn issued_count(&self) -> usize {
-        self.issued.len()
-    }
-
-    /// Whether a number was issued by this plan (vs. fabricated).
-    pub fn is_issued(&self, n: &PhoneNumber) -> bool {
-        self.issued.contains(n)
-    }
 }
 
 #[cfg(test)]
@@ -61,7 +51,6 @@ mod tests {
             let n = plan.issue(CountryCode::NG, &mut rng);
             assert!(seen.insert(n), "duplicate number {n}");
         }
-        assert_eq!(plan.issued_count(), 2000);
     }
 
     #[test]
@@ -70,8 +59,6 @@ mod tests {
         let mut rng = SimRng::from_seed(7);
         let n = plan.issue(CountryCode::CI, &mut rng);
         assert_eq!(n.country(), Some(CountryCode::CI));
-        assert!(plan.is_issued(&n));
-        assert!(!plan.is_issued(&PhoneNumber::new(CountryCode::CI, 1)));
     }
 
     #[test]

@@ -14,10 +14,9 @@
 
 use mhw_simclock::SimRng;
 use mhw_types::WebmailProvider;
-use serde::{Deserialize, Serialize};
 
 /// How a victim arrived at a phishing page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReferrerSource {
     /// Clicked a lure in a desktop mail client (no referrer, ever).
     DesktopMailClient,
@@ -32,7 +31,7 @@ pub enum ReferrerSource {
 }
 
 /// The observed referrer on a single HTTP request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Referrer {
     Blank,
     From(WebmailProvider),

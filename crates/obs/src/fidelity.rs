@@ -26,7 +26,7 @@ use std::fmt;
 
 /// Identifies the fidelity-report layout; bump when fields change
 /// meaning.
-pub const FIDELITY_SCHEMA: &str = "mhw-fidelity/v1";
+pub const FIDELITY_SCHEMA: &str = "mhw-fidelity/v2";
 
 /// Verdict for one calibration component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -173,11 +173,6 @@ pub struct FidelityReport {
     /// Run scale (`"full"` or `"quick"`) — tolerance bands depend on
     /// it, so it is part of the report's identity.
     pub scale: String,
-    /// Logical CPUs on the host that recorded the report. The scored
-    /// numbers themselves are deterministic at any worker count; this
-    /// annotates the scorecard so wall-clock context travels with the
-    /// artifact (0 suppresses the banner).
-    pub host_parallelism: usize,
     /// Every scored component, in registry order.
     pub targets: Vec<TargetScore>,
 }
@@ -189,7 +184,6 @@ impl FidelityReport {
             schema: FIDELITY_SCHEMA.to_string(),
             seed,
             scale: scale.into(),
-            host_parallelism: crate::host_parallelism(),
             targets: Vec::new(),
         }
     }
@@ -264,14 +258,6 @@ impl FidelityReport {
             self.count(FidelityStatus::Fail),
             self.overall(),
         ));
-        if self.host_parallelism > 0 {
-            out.push_str(&format!(
-                "Recorded on a {}-core host (the scored numbers are \
-                 deterministic; the core count is wall-clock context only).\n\n",
-                self.host_parallelism
-            ));
-        }
-
         out.push_str("## Targets\n\n| Target | Components | Status |\n|---|---|---|\n");
         for id in self.target_ids() {
             let n = self.targets.iter().filter(|t| t.target == id).count();
@@ -377,15 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_host_parallelism_suppresses_the_banner() {
-        let mut r = sample();
-        r.host_parallelism = 0;
-        assert!(!r.scorecard_markdown().contains("-core host"));
-        let back = FidelityReport::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(back.host_parallelism, 0);
-    }
-
-    #[test]
     fn empty_report_passes() {
         let r = FidelityReport::new(1, "full");
         assert_eq!(r.overall(), FidelityStatus::Pass);
@@ -399,7 +376,7 @@ mod tests {
         assert_eq!(json, sample().to_json());
         let back = FidelityReport::from_json(&json).unwrap();
         assert_eq!(back, r);
-        assert!(json.contains("\"schema\":\"mhw-fidelity/v1\""));
+        assert!(json.contains("\"schema\":\"mhw-fidelity/v2\""));
         assert!(json.contains("\"status\":\"FAIL\""));
     }
 
@@ -407,7 +384,6 @@ mod tests {
     fn scorecard_renders_groups_and_components() {
         let md = sample().scorecard_markdown();
         assert!(md.contains("# Fidelity scorecard"));
-        assert!(md.contains("-core host"), "host banner missing:\n{md}");
         assert!(md.contains("| F7 | 1 | PASS |"));
         assert!(md.contains("| F5 | 1 | FAIL |"));
         assert!(md.contains("rel_err 1.1200"));

@@ -43,12 +43,3 @@ pub use report::RunReport;
 pub use serve::{ServeAvailability, ServeReport, ServeRun, ARM_CLEAN, SERVE_SCHEMA};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 pub use sweep::{SweepCellRow, SweepReport, SWEEP_SCHEMA};
-
-/// Logical CPUs on this host, as `std::thread::available_parallelism`
-/// reports them (1 when the count cannot be determined). Hardware-bound
-/// artifacts ([`FidelityReport`], [`SweepReport`]) record this so a
-/// reader can judge whether wall-clock numbers were taken on an
-/// oversubscribed machine.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}

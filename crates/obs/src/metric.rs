@@ -64,10 +64,6 @@ pub mod buckets {
         604_800,
     ];
 
-    /// Small-count buckets: 1, 2, 5, 10, 20, 50, 100 (+ overflow), for
-    /// per-event quantities like recipients per blast or queue depths.
-    pub const SMALL_COUNTS: &[u64] = &[1, 2, 5, 10, 20, 50, 100];
-
     /// Wall-clock scoring-latency buckets in **nanoseconds** (+
     /// overflow), for serve-mode per-login latency. Unlike
     /// [`LATENCY_SECS`] these measure real machine time, not simulated

@@ -9,11 +9,10 @@
 //! Phase timings are wall-clock and therefore vary run to run; they
 //! are kept out of the deterministic [`RunReport`](crate::RunReport).
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Accumulated wall-clock time for one named phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTiming {
     /// Phase name, e.g. `"barrier_exchange"`.
     pub phase: String,
@@ -26,7 +25,7 @@ pub struct PhaseTiming {
 }
 
 /// A complete profile of one engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineProfile {
     /// Logical shard count of the profiled run.
     pub n_shards: u16,
@@ -159,15 +158,5 @@ mod tests {
         assert_eq!(report.build_worker_ms.len(), 2);
         assert!((report.build_worker_ms[0] - 6.0).abs() < 1e-9);
         assert!((report.build_worker_ms[1] - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn profile_roundtrips_through_json() {
-        let mut p = PhaseProfiler::new();
-        p.record("step", Duration::from_millis(4));
-        let profile = p.report(8, 4);
-        let json = serde_json::to_string(&profile).unwrap();
-        let back: EngineProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, profile);
     }
 }

@@ -162,14 +162,6 @@ impl MetricsSnapshot {
             .map(|i| self.counters[i].value)
     }
 
-    /// Look up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .binary_search_by(|g| g.name.as_str().cmp(name))
-            .ok()
-            .map(|i| self.gauges[i].value)
-    }
-
     /// Look up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms

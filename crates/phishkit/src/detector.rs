@@ -11,7 +11,6 @@ use crate::page::{PageQuality, PhishingPage};
 use mhw_obs::{buckets, MetricId, Registry};
 use mhw_simclock::SimRng;
 use mhw_types::{PageId, SimDuration, SimTime, HOUR};
-use serde::{Deserialize, Serialize};
 
 /// Phishing pages put up (one per page the pipeline processed).
 pub const M_PAGES_UP: MetricId = MetricId("phishkit.pages_up");
@@ -21,7 +20,7 @@ pub const M_PAGES_TAKEN_DOWN: MetricId = MetricId("phishkit.pages_taken_down");
 pub const M_PAGE_LIFETIME_SECS: MetricId = MetricId("phishkit.page_lifetime_secs");
 
 /// Outcome of the pipeline for one page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TakedownRecord {
     pub page: PageId,
     pub detected_at: SimTime,

@@ -12,11 +12,10 @@
 //!   credentials still queued in them.
 
 use mhw_types::{CountryCode, CrewId, EmailAddress, PageId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How faithfully the victim typed their real password into the form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CredentialExactness {
     /// Exactly the real password.
     Exact,
@@ -28,7 +27,7 @@ pub enum CredentialExactness {
 }
 
 /// One captured credential.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedCredential {
     pub address: EmailAddress,
     /// The literal string the victim typed.

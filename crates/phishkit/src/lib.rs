@@ -38,6 +38,6 @@ pub use campaign::{Campaign, CampaignShape, VictimProfile};
 pub use detector::{DetectionPipeline, TakedownRecord};
 pub use dropbox::{CapturedCredential, CredentialExactness, Dropbox};
 pub use page::{HttpMethod, HttpRequest, PageQuality, PhishingPage};
-pub use targets::{LureEmail, LureStructure, TargetMix};
+pub use targets::{LureStructure, TargetMix};
 
 pub use mhw_types::AccountCategory;

@@ -8,13 +8,12 @@
 use mhw_netmodel::referrer::Referrer;
 use mhw_simclock::SimRng;
 use mhw_types::{AccountCategory, CampaignId, EmailAddress, PageId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Execution quality of a phishing page, the driver of per-page
 /// conversion (Figure 5). §4.2: pages "with low submission rates were
 /// very poorly executed and contained only a form asking for a username
 /// and password"; the best page converted at 45%, the worst at 3%.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageQuality {
     /// Bare username/password form, no branding.
     Poor,
@@ -58,7 +57,7 @@ impl PageQuality {
 }
 
 /// HTTP request method on a phishing form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HttpMethod {
     /// Page view.
     Get,

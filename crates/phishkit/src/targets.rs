@@ -7,8 +7,7 @@
 //! page and 38 asked the victim to reply with credentials.
 
 use mhw_simclock::SimRng;
-use mhw_types::{AccountCategory, CampaignId, EmailAddress, SimTime};
-use serde::{Deserialize, Serialize};
+use mhw_types::AccountCategory;
 
 /// A category mix over [`AccountCategory`], used to draw what a lure or
 /// page phishes for.
@@ -56,24 +55,12 @@ impl TargetMix {
 }
 
 /// How a lure email tries to capture credentials (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LureStructure {
     /// Contains a URL pointing at a phishing page.
     LinkToPage,
     /// No URL; asks the victim to reply with their credentials.
     ReplyWithCredentials,
-}
-
-/// A phishing lure email (the thing Dataset 1 samples).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LureEmail {
-    pub campaign: CampaignId,
-    pub category: AccountCategory,
-    pub structure: LureStructure,
-    pub subject: String,
-    pub body: String,
-    pub sent_at: SimTime,
-    pub to: EmailAddress,
 }
 
 /// Subject/body template bank per category. The texts instantiate the

@@ -3,10 +3,9 @@
 use crate::methods::RecoveryMethod;
 use crate::risk::RecoveryVerdict;
 use mhw_types::{AccountId, ClaimId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What made the claimant start the recovery process (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClaimTrigger {
     /// A proactive notification over an independent channel ("the
     /// fastest recoveries are best explained by the proactive
@@ -26,7 +25,7 @@ pub enum ClaimTrigger {
 }
 
 /// One account-recovery claim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryClaim {
     /// Claim identifier, dense in filing order.
     pub id: ClaimId,
@@ -105,15 +104,5 @@ mod tests {
         let mut c = claim();
         c.trigger = ClaimTrigger::HijackerPivot;
         assert_eq!(c.latency(), None, "a takeover is not a recovery");
-    }
-
-    #[test]
-    fn scored_claims_round_trip_through_serde() {
-        let mut c = claim();
-        c.risk_score = Some(0.42);
-        c.verdict = Some(RecoveryVerdict::StepUp);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: RecoveryClaim = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

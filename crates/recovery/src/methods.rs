@@ -1,10 +1,9 @@
 //! Recovery verification methods and their failure modes (§6.3).
 
 use mhw_identity::options::AccountOptions;
-use serde::{Deserialize, Serialize};
 
 /// The verification channel used for one claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryMethod {
     /// SMS code to the registered phone — "the most reliable recovery
     /// option" (80.91% in Figure 10).

@@ -9,10 +9,9 @@
 use mhw_identity::{RecoveryOptions, TwoFactorState};
 use mhw_mailsys::MailProvider;
 use mhw_types::{AccountId, Actor, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What remission restored/reverted on one account.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RemissionReport {
     /// Hijacker-purged messages restored from the audit trail.
     pub messages_restored: usize,

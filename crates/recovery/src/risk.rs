@@ -31,11 +31,10 @@
 use mhw_defense::signals::{extract_signals, AccountHistory, LoginSignals};
 use mhw_identity::options::AccountOptions;
 use mhw_types::{CountryCode, DeviceId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The verdict a scored claim receives before any channel verification
 /// runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryVerdict {
     /// Proceed straight to channel verification.
     Allow,
@@ -67,7 +66,7 @@ impl RecoveryVerdict {
 /// the default; [`RecoveryPosture::lenient`] barely intervenes and
 /// [`RecoveryPosture::strict`] buys attack resistance with owner
 /// friction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPosture {
     /// Scores at or above this earn [`RecoveryVerdict::StepUp`].
     pub step_up: f64,

@@ -89,48 +89,18 @@ impl RecoveryService {
         &self.claims
     }
 
-    /// File and immediately process a claim.
+    /// File and immediately process a claim, with an optional risk
+    /// assessment from the
+    /// [`RecoveryRiskService`](crate::risk::RecoveryRiskService).
     ///
     /// Verification takes minutes; the dominant latency component is how
     /// long the victim took to *file* (modelled upstream). On success
     /// the password is reset by the system, evicting the hijacker.
     ///
-    /// This is the legacy unscored path: it draws exactly the same RNG
-    /// sequence as before claim risk scoring existed, so worlds with
-    /// scoring disabled stay byte-for-byte reproducible.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_claim(
-        &mut self,
-        account: AccountId,
-        hijacked_at: SimTime,
-        flagged_at: SimTime,
-        trigger: ClaimTrigger,
-        filed_at: SimTime,
-        options: &RecoveryOptions,
-        credentials: &mut CredentialStore,
-        exclude: &[RecoveryMethod],
-        rng: &mut SimRng,
-    ) -> ClaimResolution {
-        self.process_claim_assessed(
-            account,
-            hijacked_at,
-            flagged_at,
-            trigger,
-            filed_at,
-            options,
-            credentials,
-            exclude,
-            None,
-            rng,
-        )
-    }
-
-    /// [`RecoveryService::process_claim`] with an optional risk
-    /// assessment from the
-    /// [`RecoveryRiskService`](crate::risk::RecoveryRiskService).
-    ///
-    /// With `assessment == None` the draw sequence is identical to the
-    /// unscored path. With a verdict attached:
+    /// With `assessment == None` this is the unscored path: it draws
+    /// exactly the same RNG sequence as before claim risk scoring
+    /// existed, so worlds with scoring disabled stay byte-for-byte
+    /// reproducible. With a verdict attached:
     ///
     /// * [`RecoveryVerdict::Deny`] — the claim fails regardless of the
     ///   channel outcome (for a rightful owner, a lockout);
@@ -347,7 +317,7 @@ mod tests {
     fn run_all(f: &mut Fixture, n: usize) {
         for i in 0..n {
             let a = AccountId::from_index(i);
-            f.service.process_claim(
+            f.service.process_claim_assessed(
                 a,
                 SimTime::from_secs(1000),
                 SimTime::from_secs(1500),
@@ -356,6 +326,7 @@ mod tests {
                 &f.options,
                 &mut f.credentials,
                 &[],
+                None,
                 &mut f.rng,
             );
         }
@@ -420,7 +391,7 @@ mod tests {
         let mut b = fixture(20, true, true);
         for i in 0..20 {
             let acct = AccountId::from_index(i);
-            let r1 = a.service.process_claim(
+            let r1 = a.service.process_claim_assessed(
                 acct,
                 SimTime::from_secs(1000),
                 SimTime::from_secs(1500),
@@ -429,6 +400,7 @@ mod tests {
                 &a.options,
                 &mut a.credentials,
                 &[],
+                None,
                 &mut a.rng,
             );
             let r2 = b.service.process_claim_assessed(

@@ -13,7 +13,7 @@
 //! day-shaped modulation.
 
 use crate::rng::SimRng;
-use mhw_types::{SimDuration, SimTime, DAY, HOUR};
+use mhw_types::{SimDuration, SimTime, HOUR};
 
 /// A 24-hour rate-modulation profile: a multiplicative factor per UTC
 /// hour, normalized so the daily mean factor is 1.
@@ -39,21 +39,6 @@ impl DiurnalProfile {
             *f = 1.0 + 0.65 * phase.cos();
         }
         let mean: f64 = factors.iter().sum::<f64>() / 24.0;
-        for f in &mut factors {
-            *f /= mean;
-        }
-        DiurnalProfile { factors }
-    }
-
-    /// Build from raw per-hour factors (normalized to mean 1).
-    ///
-    /// # Panics
-    /// Panics if all factors are zero or any is negative.
-    pub fn from_factors(raw: [f64; 24]) -> Self {
-        assert!(raw.iter().all(|f| *f >= 0.0), "factors must be non-negative");
-        let mean: f64 = raw.iter().sum::<f64>() / 24.0;
-        assert!(mean > 0.0, "at least one factor must be positive");
-        let mut factors = raw;
         for f in &mut factors {
             *f /= mean;
         }
@@ -152,29 +137,12 @@ impl PoissonProcess {
         }
         None
     }
-
-    /// Expected number of events in `[from, to)` (hour-granular
-    /// integration; used by tests and calibration, not the hot path).
-    pub fn expected_count(&self, from: SimTime, to: SimTime) -> f64 {
-        let mut total = 0.0;
-        let mut cursor = from;
-        while cursor < to {
-            let step = (HOUR - cursor.as_secs() % HOUR).min(to.since(cursor).as_secs());
-            total += self.rate_at(cursor) * step as f64;
-            cursor = cursor.plus(SimDuration::from_secs(step));
-        }
-        total
-    }
-}
-
-/// Convenience: expected events per day for a homogeneous hourly rate.
-pub fn per_day(rate_per_hour: f64) -> f64 {
-    rate_per_hour * (DAY / HOUR) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhw_types::DAY;
 
     #[test]
     fn flat_profile_is_unit() {
@@ -207,22 +175,6 @@ mod tests {
         let at_6 = p.factor_at(SimTime::from_secs(6 * HOUR));
         let at_14 = p.factor_at(SimTime::from_secs(14 * HOUR));
         assert!(at_6 > at_14);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_factor_rejected() {
-        let mut f = [1.0; 24];
-        f[3] = -0.1;
-        DiurnalProfile::from_factors(f);
-    }
-
-    #[test]
-    fn homogeneous_rate_counts() {
-        let p = PoissonProcess::homogeneous(10.0); // 10/hour
-        let day = SimTime::from_secs(DAY);
-        let expected = p.expected_count(SimTime::EPOCH, day);
-        assert!((expected - 240.0).abs() < 1e-6);
     }
 
     #[test]
@@ -284,10 +236,5 @@ mod tests {
             assert!(next > t);
             t = next;
         }
-    }
-
-    #[test]
-    fn per_day_helper() {
-        assert_eq!(per_day(10.0), 240.0);
     }
 }

@@ -4,10 +4,9 @@
 //! observed that hijacker crews start around the same time every day,
 //! take a synchronized one-hour lunch break, and are largely inactive on
 //! weekends. [`Schedule`] encodes exactly that availability pattern in
-//! the crew's local timezone, and is also reused (without lunch break)
-//! for diurnal user-activity gating.
+//! the crew's local timezone.
 
-use mhw_types::{SimDuration, SimTime, DAY, HOUR};
+use mhw_types::SimTime;
 
 /// Daily working window in local hours, with an optional lunch break.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,15 +63,6 @@ impl Schedule {
         }
     }
 
-    /// An always-on schedule (automated systems).
-    pub fn always_on() -> Self {
-        Schedule {
-            hours: OfficeHours { start_hour: 0, end_hour: 24, lunch_hour: None },
-            utc_offset_hours: 0,
-            works_weekends: true,
-        }
-    }
-
     /// Is the schedule active at instant `t`?
     pub fn is_active(&self, t: SimTime) -> bool {
         if !self.works_weekends && t.local_weekday(self.utc_offset_hours).is_weekend() {
@@ -80,71 +70,12 @@ impl Schedule {
         }
         self.hours.is_working_hour(t.local_hour(self.utc_offset_hours))
     }
-
-    /// The earliest instant `>= t` at which the schedule is active.
-    ///
-    /// Scans hour boundaries; bounded by one week of hours plus one, so it
-    /// always terminates for any schedule with at least one active hour.
-    ///
-    /// # Panics
-    /// Panics if the schedule has no active hour at all.
-    pub fn next_active(&self, t: SimTime) -> SimTime {
-        if self.is_active(t) {
-            return t;
-        }
-        // Jump to the next hour boundary, then scan.
-        let mut cursor = SimTime::from_secs(t.as_secs() - t.as_secs() % HOUR + HOUR);
-        for _ in 0..(7 * 24 + 1) {
-            if self.is_active(cursor) {
-                return cursor;
-            }
-            cursor += SimDuration::from_secs(HOUR);
-        }
-        panic!("schedule has no active hours");
-    }
-
-    /// Remaining active time budget between `t` and the end of `t`'s
-    /// active block, in seconds (0 if inactive). Lets agents decide
-    /// whether a task fits before lunch / close of business.
-    pub fn remaining_in_block(&self, t: SimTime) -> SimDuration {
-        if !self.is_active(t) {
-            return SimDuration::ZERO;
-        }
-        let mut end = SimTime::from_secs(t.as_secs() - t.as_secs() % HOUR + HOUR);
-        // Extend across consecutive active hours (bounded by a day).
-        for _ in 0..24 {
-            if self.is_active(end) {
-                end += SimDuration::from_secs(HOUR);
-            } else {
-                break;
-            }
-        }
-        end.since(t)
-    }
-
-    /// Working seconds in the UTC day containing `t` (used to calibrate
-    /// crew daily throughput).
-    pub fn active_seconds_in_day(&self, t: SimTime) -> u64 {
-        let day_start = t.start_of_day();
-        (0..24)
-            .filter(|h| self.is_active(day_start + SimDuration::from_hours(*h)))
-            .count() as u64
-            * HOUR
-    }
-
-    /// Total scheduled seconds across a full week starting at `t`'s day.
-    pub fn active_seconds_in_week(&self, t: SimTime) -> u64 {
-        let day_start = t.start_of_day();
-        (0..7)
-            .map(|d| self.active_seconds_in_day(day_start + SimDuration::from_secs(d * DAY)))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhw_types::{SimTime, HOUR};
+    use mhw_types::{DAY, HOUR};
 
     fn at(day: u64, hour: u64) -> SimTime {
         SimTime::from_secs(day * DAY + hour * HOUR)
@@ -193,105 +124,5 @@ mod tests {
         let s = Schedule::crew(8);
         assert!(s.is_active(at(0, 2))); // 10:00 local
         assert!(!s.is_active(at(0, 12))); // 20:00 local
-    }
-
-    #[test]
-    fn next_active_rolls_past_lunch_and_night() {
-        let s = Schedule::crew(0);
-        // At 13:30 (lunch), next active is 14:00.
-        let t = SimTime::from_secs(13 * HOUR + 30 * 60);
-        assert_eq!(s.next_active(t), SimTime::from_secs(14 * HOUR));
-        // At 20:00 Monday, next active is Tuesday 09:00.
-        assert_eq!(s.next_active(at(0, 20)), at(1, 9));
-    }
-
-    #[test]
-    fn next_active_skips_weekend() {
-        let s = Schedule::crew(0);
-        // Friday 19:00 → Monday 09:00 (days 4 → 7).
-        assert_eq!(s.next_active(at(4, 19)), at(7, 9));
-    }
-
-    #[test]
-    fn next_active_identity_when_active() {
-        let s = Schedule::crew(0);
-        let t = at(1, 10).plus(SimDuration::from_mins(17));
-        assert_eq!(s.next_active(t), t);
-    }
-
-    #[test]
-    fn remaining_in_block() {
-        let s = Schedule::crew(0);
-        // At 11:30 the block runs until 13:00 → 1.5h.
-        let t = SimTime::from_secs(11 * HOUR + 30 * 60);
-        assert_eq!(s.remaining_in_block(t).as_secs(), 90 * 60);
-        // Inactive → zero.
-        assert_eq!(s.remaining_in_block(at(0, 20)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn weekly_budget_matches_8h_times_5d() {
-        let s = Schedule::crew(0);
-        // 9–18 minus lunch = 8h/day, 5 days.
-        assert_eq!(s.active_seconds_in_day(at(0, 0)), 8 * HOUR);
-        assert_eq!(s.active_seconds_in_week(at(0, 0)), 5 * 8 * HOUR);
-    }
-
-    #[test]
-    fn always_on_never_sleeps() {
-        let s = Schedule::always_on();
-        for d in 0..7 {
-            for h in 0..24 {
-                assert!(s.is_active(at(d, h)));
-            }
-        }
-        assert_eq!(s.active_seconds_in_week(at(0, 0)), 7 * 24 * HOUR);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use mhw_types::SimTime;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// next_active always lands on an active instant at or after t.
-        #[test]
-        fn next_active_is_active_and_not_before(
-            t in 0u64..(30 * mhw_types::DAY),
-            offset in -11i32..=12,
-        ) {
-            let s = Schedule::crew(offset);
-            let at = SimTime::from_secs(t);
-            let next = s.next_active(at);
-            prop_assert!(next >= at);
-            prop_assert!(s.is_active(next));
-        }
-
-        /// remaining_in_block is zero iff inactive, and the block really
-        /// stays active for that long.
-        #[test]
-        fn remaining_block_is_consistent(t in 0u64..(14 * mhw_types::DAY)) {
-            let s = Schedule::crew(0);
-            let at = SimTime::from_secs(t);
-            let remaining = s.remaining_in_block(at);
-            if s.is_active(at) {
-                prop_assert!(remaining.as_secs() > 0);
-                // One second before the block ends it is still active.
-                let just_before = SimTime::from_secs(t + remaining.as_secs() - 1);
-                prop_assert!(s.is_active(just_before));
-            } else {
-                prop_assert_eq!(remaining.as_secs(), 0);
-            }
-        }
-
-        /// Weekly active budget never exceeds 5 × 8 hours for crews.
-        #[test]
-        fn weekly_budget_bounded(start_day in 0u64..60) {
-            let s = Schedule::crew(3);
-            let t = SimTime::from_secs(start_day * mhw_types::DAY);
-            prop_assert!(s.active_seconds_in_week(t) <= 5 * 8 * HOUR);
-        }
     }
 }

@@ -1,11 +1,8 @@
 //! # mhw-simclock
 //!
-//! Discrete-event simulation kernel for the manual-hijacking ecosystem.
+//! Simulation-clock primitives for the manual-hijacking ecosystem.
 //!
-//! The kernel provides:
-//! * [`EventQueue`] — a time-ordered priority queue with stable FIFO
-//!   ordering for simultaneous events, the beating heart of every
-//!   scenario run;
+//! The crate provides:
 //! * [`SimRng`] — deterministic, independently seeded random streams plus
 //!   the distributions the behavioral models need (exponential,
 //!   log-normal, Poisson, weighted choice). Determinism is a hard
@@ -13,7 +10,7 @@
 //! * [`Schedule`] — calendar/office-hours modelling
 //!   used for hijacker crews ("started around the same time every day,
 //!   … synchronized one-hour lunch break … largely inactive over the
-//!   weekends", §5.5) and for diurnal user activity;
+//!   weekends", §5.5);
 //! * [`arrivals`] — Poisson/diurnal arrival processes for organic traffic
 //!   and campaign click streams.
 //!
@@ -23,10 +20,8 @@
 
 pub mod arrivals;
 pub mod calendar;
-pub mod queue;
 pub mod rng;
 
 pub use arrivals::{DiurnalProfile, PoissonProcess};
 pub use calendar::{OfficeHours, Schedule};
-pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -6,12 +6,11 @@
 //! so the phishing substrate (which generates lures) and the analysis
 //! crate (which tabulates them) agree on the categories.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of credential a phishing lure asks for — the row dimension of
 /// Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccountCategory {
     /// Webmail account credentials (the top target: 35% of emails).
     Mail,
@@ -58,7 +57,7 @@ impl fmt::Display for AccountCategory {
 /// Names are genericized: the simulated ecosystem's own provider plays the
 /// role Gmail plays in the paper; the others are independent webmail and
 /// web properties whose referrers appear on phishing-page traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WebmailProvider {
     /// Aggregate of small webmail systems ("Webmail Generic" in Fig 3).
     GenericWebmail,

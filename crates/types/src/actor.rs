@@ -7,10 +7,9 @@
 //! reads it, since real defenders do not have it.
 
 use crate::ids::CrewId;
-use serde::{Deserialize, Serialize};
 
 /// Who performed an action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Actor {
     /// The legitimate account owner.
     Owner,

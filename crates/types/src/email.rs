@@ -7,14 +7,13 @@
 //! captures that distinction so the population model can assign addresses
 //! and the phishing model can modulate delivery rates.
 
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// How an address's mail domain is operated — the property that §4.2
 /// identifies as controlling spam-filter quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EmailDomainClass {
     /// A large webmail provider with industrial spam filtering
     /// (the simulated provider itself, or Yahoo/Hotmail-alikes).
@@ -46,8 +45,8 @@ impl EmailDomainClass {
 /// An address is a shared handle. One `Arc<str>` holds `local@domain`,
 /// so every clone of it (the provider's interner, the user profile,
 /// contact lists, each stored copy's sender and recipients) points at
-/// one allocation. Equality, hashing, `Debug` and the JSON form are
-/// those of the two parts, exactly as if they were two `String` fields.
+/// one allocation. Equality, hashing and `Debug` are those of the two
+/// parts, exactly as if they were two `String` fields.
 #[derive(Clone)]
 pub struct EmailAddress {
     /// `local@domain`.
@@ -66,18 +65,12 @@ impl EmailAddress {
         let mut domain = domain.into();
         local.make_ascii_lowercase();
         domain.make_ascii_lowercase();
-        EmailAddress::from_parts(&local, &domain).expect("local part shorter than 4 GiB")
-    }
-
-    /// The address with exactly these parts, as given; `None` when the
-    /// local part is too long for a `u32` offset.
-    fn from_parts(local: &str, domain: &str) -> Option<Self> {
-        let at = u32::try_from(local.len()).ok()?;
+        let at = u32::try_from(local.len()).expect("local part shorter than 4 GiB");
         let mut text = String::with_capacity(local.len() + 1 + domain.len());
-        text.push_str(local);
+        text.push_str(&local);
         text.push('@');
-        text.push_str(domain);
-        Some(EmailAddress { text: Arc::from(text), at })
+        text.push_str(&domain);
+        EmailAddress { text: Arc::from(text), at }
     }
 
     /// Parse `local@domain`. Returns `None` unless there is exactly one
@@ -108,20 +101,6 @@ impl EmailAddress {
     pub fn tld(&self) -> &str {
         let domain = self.domain();
         domain.rsplit('.').next().unwrap_or(domain)
-    }
-
-    /// A crude similarity used by the doppelganger model (§5.4): same
-    /// local part on a different domain, or a local part within edit
-    /// distance 1 on the same domain, "looks reasonably similar from the
-    /// point of view of the victims".
-    pub fn is_plausible_doppelganger_of(&self, victim: &EmailAddress) -> bool {
-        if self == victim {
-            return false;
-        }
-        if self.local() == victim.local() && self.domain() != victim.domain() {
-            return true;
-        }
-        self.domain() == victim.domain() && edit_distance_at_most_one(self.local(), victim.local())
     }
 }
 
@@ -161,55 +140,6 @@ impl fmt::Display for EmailAddress {
     }
 }
 
-/// The JSON form is the object `{"local": …, "domain": …}`.
-impl Serialize for EmailAddress {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("local".to_string(), Value::Str(self.local().to_string())),
-            ("domain".to_string(), Value::Str(self.domain().to_string())),
-        ])
-    }
-}
-
-/// Reads the parts as stored, without lower-casing them again.
-impl Deserialize for EmailAddress {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let part = |key| String::from_value(v.get(key).unwrap_or(&Value::Null));
-        EmailAddress::from_parts(&part("local")?, &part("domain")?)
-            .ok_or_else(|| serde::Error::custom("local part longer than 4 GiB"))
-    }
-}
-
-/// True iff `a` and `b` differ by at most one insertion, deletion, or
-/// substitution — the "difficult-to-detect typo" of §5.4.
-fn edit_distance_at_most_one(a: &str, b: &str) -> bool {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let (la, lb) = (a.len(), b.len());
-    if la.abs_diff(lb) > 1 {
-        return false;
-    }
-    if la == lb {
-        // Zero or one substitution.
-        return a.iter().zip(&b).filter(|(x, y)| x != y).count() <= 1;
-    }
-    // One insertion/deletion: align the longer against the shorter.
-    let (long, short) = if la > lb { (&a, &b) } else { (&b, &a) };
-    let mut skipped = false;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < long.len() && j < short.len() {
-        if long[i] == short[j] {
-            i += 1;
-            j += 1;
-        } else if skipped {
-            return false;
-        } else {
-            skipped = true;
-            i += 1;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,55 +166,9 @@ mod tests {
         assert_eq!(a.tld(), "edu");
     }
 
-    #[test]
-    fn doppelganger_same_local_other_provider() {
-        // The paper's own example: same username, different provider.
-        let victim = EmailAddress::new("victim.name", "gmail.example");
-        let dopp = EmailAddress::new("victim.name", "aol.example");
-        assert!(dopp.is_plausible_doppelganger_of(&victim));
-    }
-
-    #[test]
-    fn doppelganger_typo_same_provider() {
-        let victim = EmailAddress::new("victimname", "gmail.example");
-        let dopp = EmailAddress::new("victimnarne", "gmail.example"); // not edit distance 1
-        assert!(!dopp.is_plausible_doppelganger_of(&victim));
-        let dopp2 = EmailAddress::new("victimnam", "gmail.example"); // one deletion
-        assert!(dopp2.is_plausible_doppelganger_of(&victim));
-        let dopp3 = EmailAddress::new("victimnames", "gmail.example"); // one insertion
-        assert!(dopp3.is_plausible_doppelganger_of(&victim));
-        let dopp4 = EmailAddress::new("victimnome", "gmail.example"); // one substitution
-        assert!(dopp4.is_plausible_doppelganger_of(&victim));
-    }
-
-    #[test]
-    fn identical_address_is_not_its_own_doppelganger() {
-        let a = EmailAddress::new("x", "y.com");
-        assert!(!a.clone().is_plausible_doppelganger_of(&a));
-    }
-
-    #[test]
-    fn unrelated_addresses_are_not_doppelgangers() {
-        let victim = EmailAddress::new("alice", "gmail.example");
-        let other = EmailAddress::new("bob", "aol.example");
-        assert!(!other.is_plausible_doppelganger_of(&victim));
-    }
-
-    #[test]
-    fn edit_distance_helper() {
-        assert!(edit_distance_at_most_one("abc", "abc"));
-        assert!(edit_distance_at_most_one("abc", "abd"));
-        assert!(edit_distance_at_most_one("abc", "ab"));
-        assert!(edit_distance_at_most_one("abc", "abcd"));
-        assert!(!edit_distance_at_most_one("abc", "ade"));
-        assert!(!edit_distance_at_most_one("abc", "a"));
-        assert!(edit_distance_at_most_one("", "a"));
-        assert!(!edit_distance_at_most_one("", "ab"));
-    }
-
     /// The layout the handle replaced, with its derived traits.
     mod two_strings {
-        #[derive(Debug, serde::Serialize, PartialEq, Eq, Hash)]
+        #[derive(Debug, PartialEq, Eq, Hash)]
         pub struct EmailAddress {
             pub local: String,
             pub domain: String,
@@ -324,25 +208,6 @@ mod tests {
             format!("{:?}", EmailAddress::new("Jo\"sé", "X.com")),
             r#"EmailAddress { local: "jo\"sé", domain: "x.com" }"#
         );
-    }
-
-    #[test]
-    fn json_keeps_the_two_field_shape_and_round_trips() {
-        for a in awkward() {
-            let json = serde_json::to_string(&a).unwrap();
-            assert_eq!(json, serde_json::to_string(&two_strings(&a)).unwrap());
-            let back: EmailAddress = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, a);
-            assert_eq!((back.local(), back.domain()), (a.local(), a.domain()));
-        }
-        assert_eq!(
-            serde_json::to_string(&EmailAddress::new("a", "b.com")).unwrap(),
-            r#"{"local":"a","domain":"b.com"}"#
-        );
-        // Stored parts are read as they are, as the derive read them.
-        let raw: EmailAddress = serde_json::from_str(r#"{"local":"A","domain":"B.com"}"#).unwrap();
-        assert_eq!((raw.local(), raw.domain()), ("A", "B.com"));
-        assert!(serde_json::from_str::<EmailAddress>(r#"{"local":"a"}"#).is_err());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * explicit, comma-separated `kind@coordinates` entries, e.g.
 //!   `panic@3.1,slow@2.0:25` or `geo-down@100..400,cache-wipe@250`;
 //! * `seeded:key=N,key=N` count maps, expanded by the consumer from the
-//!   run's master seed.
+//!   run's master seed. Each kind's count is bounded here by the
+//!   consumer's maximum, so no consumer expands an unbounded count.
 //!
 //! This module owns the tokenising and the error wording so the two
 //! plans cannot drift apart: entries are split here, coordinate parsing
@@ -56,9 +57,17 @@ pub struct FaultEntry {
 ///
 /// `allowed_seeded_keys` is the consumer's kind vocabulary for the
 /// `seeded:` form; an unknown key is rejected here with an error that
-/// lists the allowed ones. Explicit entry *kinds* are not validated
-/// here (use [`unknown_kind`] for that) — only the `kind@coords` shape.
-pub fn parse(spec: &str, allowed_seeded_keys: &[&str]) -> Result<FaultSpec, String> {
+/// lists the allowed ones. A kind's count (repeated keys add up) must
+/// not exceed `max_count`, the most faults of one kind the consumer can
+/// place; `limit` names that maximum in the error, e.g. "the stream's
+/// 100 events". Explicit entry *kinds* are not validated here (use
+/// [`unknown_kind`] for that) — only the `kind@coords` shape.
+pub fn parse(
+    spec: &str,
+    allowed_seeded_keys: &[&str],
+    max_count: u64,
+    limit: &str,
+) -> Result<FaultSpec, String> {
     let spec = spec.trim();
     if let Some(counts) = spec.strip_prefix("seeded:") {
         let mut map = BTreeMap::new();
@@ -77,7 +86,18 @@ pub fn parse(spec: &str, allowed_seeded_keys: &[&str]) -> Result<FaultSpec, Stri
                     join_or(allowed_seeded_keys)
                 ));
             }
-            *map.entry(key.to_string()).or_insert(0) += n;
+            let sum = map.get(key).map_or(Some(n), |sum: &u64| sum.checked_add(n));
+            match sum {
+                Some(sum) if sum <= max_count => {
+                    map.insert(key.to_string(), sum);
+                }
+                _ => {
+                    let sum = sum.map_or(format!("more than {}", u64::MAX), |n| n.to_string());
+                    return Err(format!(
+                        "fault spec `{spec}`: {sum} seeded `{key}` faults exceed {limit}"
+                    ));
+                }
+            }
         }
         return Ok(FaultSpec::Seeded(SeededCounts(map)));
     }
@@ -102,11 +122,12 @@ pub fn unknown_kind(kind: &str, expected: &[&str]) -> String {
     format!("fault kind `{kind}`: expected {}", join_or(expected))
 }
 
-/// Parse a number inside `entry`, naming the entry and the expected
-/// shape on failure.
-pub fn num(entry: &str, text: &str, what: &str) -> Result<u64, String> {
+/// Parse a number inside `entry` at the width of its destination, so
+/// an out-of-range value is refused rather than truncated, naming the
+/// entry and the expected shape on failure.
+pub fn num<T: std::str::FromStr>(entry: &str, text: &str, what: &str) -> Result<T, String> {
     text.trim()
-        .parse::<u64>()
+        .parse::<T>()
         .map_err(|_| format!("fault entry `{entry}`: `{text}` is not a {what}"))
 }
 
@@ -152,7 +173,7 @@ mod tests {
 
     #[test]
     fn seeded_form_parses_counts() {
-        let spec = parse("seeded:panics=2,slow=1", &["panics", "slow", "ckpt"]).unwrap();
+        let spec = parse("seeded:panics=2,slow=1", &["panics", "slow", "ckpt"], 2, "two").unwrap();
         let FaultSpec::Seeded(counts) = spec else {
             panic!("expected seeded form")
         };
@@ -163,7 +184,7 @@ mod tests {
 
     #[test]
     fn explicit_form_splits_kind_and_coords() {
-        let spec = parse("panic@3.1, slow@2.0:25", &[]).unwrap();
+        let spec = parse("panic@3.1, slow@2.0:25", &[], 0, "none").unwrap();
         let FaultSpec::Explicit(entries) = spec else {
             panic!("expected explicit form")
         };
@@ -175,14 +196,17 @@ mod tests {
 
     #[test]
     fn errors_name_the_offending_entry() {
-        let err = parse("panic-no-coords", &[]).unwrap_err();
+        let err = parse("panic-no-coords", &[], 0, "none").unwrap_err();
         assert!(err.contains("panic-no-coords"), "{err}");
-        let err = parse("seeded:panics=many", &["panics"]).unwrap_err();
+        let err = parse("seeded:panics=many", &["panics"], 9, "nine").unwrap_err();
         assert!(err.contains("many"), "{err}");
-        let err = parse("seeded:explode=1", &["panics", "slow", "ckpt"]).unwrap_err();
+        let err = parse("seeded:explode=1", &["panics", "slow", "ckpt"], 9, "nine").unwrap_err();
         assert!(err.contains("explode"), "{err}");
         assert!(err.contains("panics, slow or ckpt"), "{err}");
-        assert_eq!(num("slow@x", "x", "day").unwrap_err(), "fault entry `slow@x`: `x` is not a day");
+        assert_eq!(
+            num::<u64>("slow@x", "x", "day").unwrap_err(),
+            "fault entry `slow@x`: `x` is not a day"
+        );
         assert_eq!(
             unknown_kind("explode", &["panic", "slow", "ckpt-fail"]),
             "fault kind `explode`: expected panic, slow or ckpt-fail"
@@ -200,8 +224,8 @@ mod tests {
 
     #[test]
     fn empty_specs_yield_empty_plans() {
-        assert_eq!(parse("", &[]).unwrap(), FaultSpec::Explicit(Vec::new()));
-        let FaultSpec::Seeded(counts) = parse("seeded:", &["x"]).unwrap() else {
+        assert_eq!(parse("", &[], 0, "none").unwrap(), FaultSpec::Explicit(Vec::new()));
+        let FaultSpec::Seeded(counts) = parse("seeded:", &["x"], 0, "none").unwrap() else {
             panic!("expected seeded form")
         };
         assert_eq!(counts.get("x"), 0);

@@ -8,12 +8,11 @@
 //! ISO-ish codes, primary language, a representative UTC offset (for crew
 //! office hours) and an international phone prefix.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Primary language spoken in a country. Drives which victims a crew
 /// prefers and which language its scam text and mailbox search terms use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // the variant names are the documentation
 pub enum Language {
     English,
@@ -29,7 +28,7 @@ pub enum Language {
 
 /// Countries that appear in the paper's attribution analysis plus enough
 /// bystander countries to make victim populations and traffic realistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CountryCode {
     /// United States
     US,

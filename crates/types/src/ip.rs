@@ -9,9 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An IPv4 address as a 32-bit integer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct IpAddr(pub u32);
 
 impl IpAddr {
@@ -39,7 +37,7 @@ impl fmt::Display for IpAddr {
 }
 
 /// A contiguous block of IPv4 addresses (`base/prefix_len`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IpBlock {
     base: u32,
     prefix_len: u8,

@@ -51,8 +51,8 @@ pub use ids::{
 };
 pub use intern::{DenseMap, Interner, Span, StrArena, Sym};
 pub use ip::{IpAddr, IpBlock};
-pub use log::{Entries, Entry, EventSink, LogKey, LogStore, ShardId, Stamped};
+pub use log::{Entries, Entry, LogKey, LogStore, ShardId};
 pub use phone::PhoneNumber;
 pub use retry::RetryPolicy;
 pub use sync::CachePadded;
-pub use time::{SimDuration, SimTime, Weekday, DAY, HOUR, MINUTE, WEEK};
+pub use time::{SimDuration, SimTime, Weekday, DAY, HOUR, MINUTE};

@@ -2,16 +2,11 @@
 //!
 //! Every subsystem that records history — the identity stack's login
 //! log, the mail provider's activity log, the defense notification log —
-//! writes through the same two pieces:
-//!
-//! * [`LogStore<T>`]: an append-only log *segment* whose entries are
-//!   stamped with a globally orderable [`LogKey`] `(at, shard, seq)`.
-//!   A single-threaded scenario owns one segment per log (shard 0); the
-//!   sharded engine gives every logical shard its own segment and merges
-//!   them afterwards.
-//! * [`EventSink<T>`]: the write interface, so code that only needs to
-//!   emit records (world adapters, defense hooks) does not care which
-//!   segment it is writing into.
+//! writes through [`LogStore<T>`]: an append-only log *segment* whose
+//! entries are stamped with a globally orderable [`LogKey`]
+//! `(at, shard, seq)`. A single-threaded scenario owns one segment per
+//! log (shard 0); the sharded engine gives every logical shard its own
+//! segment and merges them afterwards.
 //!
 //! # Columnar layout
 //!
@@ -26,9 +21,7 @@
 //!
 //! Borrowing iteration yields [`Entry`] — a `Copy` (key, `&record`)
 //! pair that derefs to the record, so call sites read `e.at`, `e.kind`
-//! etc. exactly as they did when entries were stored as structs. The
-//! owned form [`Stamped`] survives for consumers that need to hold
-//! records outside the segment's lifetime.
+//! etc. exactly as they did when entries were stored as structs.
 //!
 //! The key design constraint is determinism: `seq` is allocated densely
 //! per shard in append order, so a segment's contents are a pure
@@ -45,11 +38,8 @@
 //! clock), sorted segments are consumed straight off their columns, the
 //! rare unsorted segment is sorted *on its own*, and a cursor heap
 //! interleaves the k sorted streams in `O(n log k)`.
-//! [`LogStore::merge_into`] exposes the same merge over a caller-owned,
-//! pre-sized output buffer so repeated merges reuse one allocation.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Deref;
@@ -63,9 +53,7 @@ use std::ops::Deref;
 pub type ShardId = u16;
 
 /// Globally unique, totally ordered key carried by every log record.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogKey {
     /// Simulated instant the record was emitted.
     pub at: SimTime,
@@ -74,32 +62,6 @@ pub struct LogKey {
     /// Dense per-shard append counter; breaks ties among same-instant
     /// records on one shard while preserving their emission order.
     pub seq: u64,
-}
-
-/// A log record together with its ordering key, owned.
-///
-/// The borrowing analogue handed out by segment iteration is
-/// [`Entry`]; `Stamped` is for consumers that keep records beyond the
-/// segment's lifetime (e.g. [`LogStore::merge_owned`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stamped<T> {
-    /// The global ordering key: `(SimTime, shard, seq)`.
-    pub key: LogKey,
-    /// The domain record itself.
-    pub record: T,
-}
-
-impl<T> Deref for Stamped<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.record
-    }
-}
-
-impl<T> AsRef<T> for Stamped<T> {
-    fn as_ref(&self) -> &T {
-        &self.record
-    }
 }
 
 /// A borrowed log entry: the ordering key (reassembled from the
@@ -140,23 +102,6 @@ impl<'a, T: PartialEq> PartialEq for Entry<'a, T> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key && self.record == other.record
     }
-}
-
-impl<'a, T> Entry<'a, T> {
-    /// Clone into an owned [`Stamped`] record.
-    pub fn to_stamped(self) -> Stamped<T>
-    where
-        T: Clone,
-    {
-        Stamped { key: self.key, record: self.record.clone() }
-    }
-}
-
-/// Write interface shared by every log producer.
-pub trait EventSink<T> {
-    /// Append `record` as happening at `at`, returning the key it was
-    /// stamped with.
-    fn emit(&mut self, at: SimTime, record: T) -> LogKey;
 }
 
 /// An append-only columnar log segment.
@@ -236,14 +181,6 @@ impl<T> LogStore<T> {
         key
     }
 
-    /// Whether every append so far arrived in non-decreasing time
-    /// order. When true, the segment is already in `(at, shard, seq)`
-    /// key order (shard is constant and `seq` ascends), so merges
-    /// consume it without sorting.
-    pub fn is_time_sorted(&self) -> bool {
-        self.time_sorted
-    }
-
     /// The timestamp column: emission instant per row, in append order.
     /// Timestamp-only scans (day windows, merge planning) read this
     /// without touching the payload column.
@@ -254,11 +191,6 @@ impl<T> LogStore<T> {
     /// The key of row `i` (reassembled: shard is constant, `seq == i`).
     fn key_at(&self, i: usize) -> LogKey {
         LogKey { at: self.ats[i], shard: self.shard, seq: i as u64 }
-    }
-
-    /// All entries in emission order.
-    pub fn entries(&self) -> Entries<'_, T> {
-        self.iter()
     }
 
     /// The records alone, in emission order (a straight scan of the
@@ -315,30 +247,14 @@ impl<T> LogStore<T> {
     /// order independent of the segment iteration order.
     ///
     /// This is a k-way merge over the per-segment streams, not a sort
-    /// of the concatenation: time-sorted segments (the overwhelmingly
-    /// common case — see [`LogStore::is_time_sorted`]) are consumed
-    /// straight off their columns, and only a segment that recorded
-    /// out-of-order appends is sorted, on its own, before merging.
+    /// of the concatenation: segments whose appends arrived in time
+    /// order (the overwhelmingly common case) are consumed straight off
+    /// their columns, and only a segment that recorded out-of-order
+    /// appends is sorted, on its own, before merging.
     pub fn merge<'a>(segments: impl IntoIterator<Item = &'a LogStore<T>>) -> Vec<Entry<'a, T>>
     where
         T: 'a,
     {
-        let mut out = Vec::new();
-        Self::merge_into(segments, &mut out);
-        out
-    }
-
-    /// [`LogStore::merge`] into a caller-owned buffer, so repeated
-    /// merges (benchmark loops, digest passes) reuse one allocation.
-    /// The buffer is cleared, then reserved to the exact total size
-    /// before any entry is pushed.
-    pub fn merge_into<'a>(
-        segments: impl IntoIterator<Item = &'a LogStore<T>>,
-        out: &mut Vec<Entry<'a, T>>,
-    ) where
-        T: 'a,
-    {
-        out.clear();
         let mut total = 0usize;
         let mut cursors: Vec<MergeCursor<'a, T>> = Vec::new();
         for seg in segments {
@@ -359,7 +275,7 @@ impl<T> LogStore<T> {
                 cursors.push(MergeCursor::Resorted(view.into_iter()));
             }
         }
-        out.reserve(total);
+        let mut out = Vec::with_capacity(total);
         match cursors.len() {
             0 => {}
             1 => out.extend(std::iter::from_fn(move || cursors[0].next())),
@@ -391,54 +307,6 @@ impl<T> LogStore<T> {
             }
         }
         debug_assert_eq!(out.len(), total, "k-way merge dropped or duplicated entries");
-    }
-
-    /// Consuming variant of [`LogStore::merge`], for assembling the
-    /// final global log out of finished shard segments. Same k-way
-    /// strategy: per-segment sort only when a segment recorded
-    /// out-of-order appends, never a sort of the concatenation.
-    pub fn merge_owned(segments: impl IntoIterator<Item = LogStore<T>>) -> Vec<Stamped<T>> {
-        let mut total = 0usize;
-        let mut iters: Vec<std::vec::IntoIter<Stamped<T>>> = Vec::new();
-        for seg in segments {
-            if seg.is_empty() {
-                continue;
-            }
-            total += seg.len();
-            let shard = seg.shard;
-            let time_sorted = seg.time_sorted;
-            let mut entries: Vec<Stamped<T>> = seg
-                .ats
-                .into_iter()
-                .zip(seg.records)
-                .enumerate()
-                .map(|(i, (at, record))| Stamped {
-                    key: LogKey { at, shard, seq: i as u64 },
-                    record,
-                })
-                .collect();
-            if !time_sorted {
-                entries.sort_by_key(|e| e.key);
-            }
-            iters.push(entries.into_iter());
-        }
-        let mut out = Vec::with_capacity(total);
-        let mut heads: Vec<Option<Stamped<T>>> = iters.iter_mut().map(Iterator::next).collect();
-        let mut heap: BinaryHeap<Reverse<(LogKey, usize)>> = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, head)| head.as_ref().map(|e| Reverse((e.key, i))))
-            .collect();
-        while let Some(Reverse((key, i))) = heap.pop() {
-            let entry = heads[i].take().expect("popped cursor has a head");
-            debug_assert_eq!(entry.key, key);
-            out.push(entry);
-            if let Some(next) = iters[i].next() {
-                debug_assert!(next.key > key, "merge input segment is not sorted");
-                heap.push(Reverse((next.key, i)));
-                heads[i] = Some(next);
-            }
-        }
         out
     }
 }
@@ -489,12 +357,6 @@ impl<'a, T> MergeCursor<'a, T> {
             MergeCursor::Sorted(it) => it.next(),
             MergeCursor::Resorted(it) => it.next(),
         }
-    }
-}
-
-impl<T> EventSink<T> for LogStore<T> {
-    fn emit(&mut self, at: SimTime, record: T) -> LogKey {
-        self.append(at, record)
     }
 }
 
@@ -569,28 +431,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_owned_matches_borrowing_merge() {
-        let mut a = LogStore::for_shard(0);
-        let mut b = LogStore::for_shard(1);
-        for i in 0..10u64 {
-            a.append(SimTime::from_secs(100 - i), i);
-            b.append(SimTime::from_secs(i), 100 + i);
-        }
-        let borrowed: Vec<LogKey> = LogStore::merge([&a, &b]).iter().map(|e| e.key).collect();
-        let owned: Vec<LogKey> = LogStore::merge_owned([a, b]).iter().map(|e| e.key).collect();
-        assert_eq!(borrowed, owned);
-    }
-
-    #[test]
     fn time_sorted_flag_tracks_append_order() {
         let mut log = LogStore::for_shard(1);
-        assert!(log.is_time_sorted(), "empty segment is trivially sorted");
+        assert!(log.time_sorted, "empty segment is trivially sorted");
         log.append(SimTime::from_secs(5), "a");
         log.append(SimTime::from_secs(5), "b"); // equal instants stay sorted
         log.append(SimTime::from_secs(9), "c");
-        assert!(log.is_time_sorted());
+        assert!(log.time_sorted);
         log.append(SimTime::from_secs(2), "d"); // regression
-        assert!(!log.is_time_sorted());
+        assert!(!log.time_sorted);
     }
 
     #[test]
@@ -603,42 +452,13 @@ mod tests {
         unsorted.append(SimTime::from_secs(3), "u0");
         unsorted.append(SimTime::from_secs(1), "u1");
         unsorted.append(SimTime::from_secs(3), "u2");
-        assert!(!unsorted.is_time_sorted());
+        assert!(!unsorted.time_sorted);
         let merged = LogStore::merge([&empty, &sorted, &unsorted]);
         let records: Vec<&str> = merged.iter().map(|e| *e.record).collect();
         assert_eq!(records, vec!["s0", "u1", "u0", "u2", "s1"]);
         for w in merged.windows(2) {
             assert!(w[0].key < w[1].key);
         }
-    }
-
-    #[test]
-    fn merge_into_reuses_the_output_buffer() {
-        let mut a = LogStore::for_shard(0);
-        let mut b = LogStore::for_shard(1);
-        for i in 0..50u64 {
-            a.append(SimTime::from_secs(2 * i), i);
-            b.append(SimTime::from_secs(2 * i + 1), i);
-        }
-        let mut out = Vec::new();
-        LogStore::merge_into([&a, &b], &mut out);
-        assert_eq!(out.len(), 100);
-        let capacity = out.capacity();
-        LogStore::merge_into([&a, &b], &mut out);
-        assert_eq!(out.len(), 100);
-        assert_eq!(out.capacity(), capacity, "repeat merge must not reallocate");
-        assert_eq!(out, LogStore::merge([&a, &b]));
-    }
-
-    #[test]
-    fn sink_trait_object_compatible_generics() {
-        fn emit_twice<S: EventSink<u32>>(sink: &mut S) {
-            sink.emit(SimTime::from_secs(1), 1);
-            sink.emit(SimTime::from_secs(2), 2);
-        }
-        let mut log = LogStore::new();
-        emit_twice(&mut log);
-        assert_eq!(log.len(), 2);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! international prefix plus a national subscriber number.
 
 use crate::geo::CountryCode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An E.164-style phone number: `+<prefix> <national>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhoneNumber {
     prefix: u16,
     national: u64,
@@ -20,11 +19,6 @@ impl PhoneNumber {
     /// Construct a number in `country`'s dialling plan.
     pub fn new(country: CountryCode, national: u64) -> Self {
         PhoneNumber { prefix: country.phone_prefix(), national }
-    }
-
-    /// Construct from a raw prefix (used when parsing logged numbers).
-    pub fn from_parts(prefix: u16, national: u64) -> Self {
-        PhoneNumber { prefix, national }
     }
 
     /// International dialling prefix.
@@ -63,7 +57,7 @@ mod tests {
 
     #[test]
     fn unknown_prefix_has_no_country() {
-        let p = PhoneNumber::from_parts(999, 1234);
+        let p = PhoneNumber { prefix: 999, national: 1234 };
         assert_eq!(p.country(), None);
     }
 

@@ -17,23 +17,16 @@ pub const MINUTE: u64 = 60;
 pub const HOUR: u64 = 60 * MINUTE;
 /// One day, in seconds.
 pub const DAY: u64 = 24 * HOUR;
-/// One (7-day) week, in seconds.
-pub const WEEK: u64 = 7 * DAY;
 
 /// A span of simulated time, in whole seconds.
 ///
 /// Sub-second precision is never needed by the paper's measurements (the
 /// finest-grained figure is minutes), so seconds keep every computation in
 /// exact integer arithmetic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
-    /// The zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
     /// A duration of `secs` seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs)
@@ -54,10 +47,6 @@ impl SimDuration {
     /// The duration in whole seconds.
     pub const fn as_secs(self) -> u64 {
         self.0
-    }
-    /// Fractional minutes (for reporting, e.g. the 3-minute profiling mean).
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / MINUTE as f64
     }
     /// Fractional hours (for reporting, e.g. recovery-latency ECDFs).
     pub fn as_hours_f64(self) -> f64 {
@@ -93,7 +82,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// Days of the week. The simulation epoch is a Monday.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // the variant names are the documentation
 pub enum Weekday {
     Monday,
@@ -126,9 +115,7 @@ impl Weekday {
 
 /// An absolute instant of simulated time: seconds since the epoch
 /// (Monday 2012-01-02 00:00:00 UTC).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -166,11 +153,6 @@ impl SimTime {
         (self.seconds_into_day() / HOUR) as u32
     }
 
-    /// Weekday in UTC.
-    pub fn weekday(self) -> Weekday {
-        Weekday::ALL[(self.day_index() % 7) as usize]
-    }
-
     /// Local hour of day for a timezone expressed as a whole-hour UTC
     /// offset (may be negative, e.g. Venezuela at −4).
     pub fn local_hour(self, utc_offset_hours: i32) -> u32 {
@@ -183,11 +165,6 @@ impl SimTime {
         let total_hours = self.0 as i64 / HOUR as i64 + utc_offset_hours as i64;
         let day = (total_hours.div_euclid(24)).rem_euclid(7) as usize;
         Weekday::ALL[day]
-    }
-
-    /// Start of the current UTC day.
-    pub const fn start_of_day(self) -> SimTime {
-        SimTime(self.0 - self.0 % DAY)
     }
 
     /// The instant `d` later.
@@ -235,25 +212,25 @@ mod tests {
 
     #[test]
     fn epoch_is_monday() {
-        assert_eq!(SimTime::EPOCH.weekday(), Weekday::Monday);
-        assert!(!SimTime::EPOCH.weekday().is_weekend());
+        assert_eq!(SimTime::EPOCH.local_weekday(0), Weekday::Monday);
+        assert!(!SimTime::EPOCH.local_weekday(0).is_weekend());
     }
 
     #[test]
     fn weekday_cycles() {
         for (i, wd) in Weekday::ALL.iter().enumerate() {
             let t = SimTime::from_secs(i as u64 * DAY + 5 * HOUR);
-            assert_eq!(t.weekday(), *wd);
+            assert_eq!(t.local_weekday(0), *wd);
         }
         // Day 7 wraps back to Monday.
-        assert_eq!(SimTime::from_secs(7 * DAY).weekday(), Weekday::Monday);
+        assert_eq!(SimTime::from_secs(7 * DAY).local_weekday(0), Weekday::Monday);
     }
 
     #[test]
     fn weekend_detection() {
-        assert!(SimTime::from_secs(5 * DAY).weekday().is_weekend()); // Saturday
-        assert!(SimTime::from_secs(6 * DAY).weekday().is_weekend()); // Sunday
-        assert!(!SimTime::from_secs(4 * DAY).weekday().is_weekend()); // Friday
+        assert!(SimTime::from_secs(5 * DAY).local_weekday(0).is_weekend()); // Saturday
+        assert!(SimTime::from_secs(6 * DAY).local_weekday(0).is_weekend()); // Sunday
+        assert!(!SimTime::from_secs(4 * DAY).local_weekday(0).is_weekend()); // Friday
     }
 
     #[test]
@@ -285,7 +262,7 @@ mod tests {
         let a = SimTime::from_secs(100);
         let b = SimTime::from_secs(200);
         assert_eq!(b.since(a), SimDuration::from_secs(100));
-        assert_eq!(a.since(b), SimDuration::ZERO);
+        assert_eq!(a.since(b), SimDuration(0));
     }
 
     #[test]
@@ -299,14 +276,12 @@ mod tests {
     #[test]
     fn duration_unit_conversions() {
         assert_eq!(SimDuration::from_mins(3).as_secs(), 180);
-        assert!((SimDuration::from_secs(90).as_mins_f64() - 1.5).abs() < 1e-12);
         assert!((SimDuration::from_secs(HOUR / 2).as_hours_f64() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn start_of_day_floors() {
+    fn day_index_floors() {
         let t = SimTime::from_secs(3 * DAY + 7 * HOUR + 123);
-        assert_eq!(t.start_of_day(), SimTime::from_secs(3 * DAY));
         assert_eq!(t.day_index(), 3);
     }
 

@@ -17,6 +17,12 @@ cargo build --offline --release --workspace
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
+echo "== vendored stand-ins =="
+# The stand-ins under vendor/ are patch dependencies, not workspace
+# members, so the step above never runs their own unit tests (the JSON
+# parser's depth limit, proptest's strategies).
+cargo test --offline -q -p serde -p serde_json -p serde_derive -p proptest -p rand -p parking_lot
+
 echo "== cargo clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

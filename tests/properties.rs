@@ -5,7 +5,7 @@ use manual_hijacking_wild::defense::{ActivityFeatures, ActivityMonitor, RiskEngi
 use manual_hijacking_wild::identity::is_trivial_variant;
 use manual_hijacking_wild::mailsys::message::{contains_ignore_ascii_case, contains_lowercased};
 use manual_hijacking_wild::mailsys::{Folder, Mailbox, Message, MessageKind, SearchQuery};
-use manual_hijacking_wild::simclock::{EventQueue, SimRng};
+use manual_hijacking_wild::simclock::SimRng;
 use manual_hijacking_wild::types::{
     AccountId, EmailAddress, IpAddr, IpBlock, MessageId, SimTime,
 };
@@ -183,21 +183,6 @@ fn assert_mailbox_matches_model(mb: &Mailbox, model: &MailboxModel, max_id: u32,
 }
 
 proptest! {
-    /// Event queues always pop in non-decreasing time order, regardless
-    /// of insertion order.
-    #[test]
-    fn event_queue_is_time_ordered(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(*t), i);
-        }
-        let mut last = SimTime::from_secs(0);
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-        }
-    }
-
     /// ECDF is monotone and bounded in [0, 1].
     #[test]
     fn ecdf_is_monotone(mut xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {

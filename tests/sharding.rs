@@ -305,7 +305,7 @@ proptest! {
         // The reference the k-way merge replaced: concatenate, then
         // sort by the unique (at, shard, seq) key.
         let mut reference: Vec<_> =
-            segments.iter().flat_map(|seg| seg.entries()).collect();
+            segments.iter().flat_map(|seg| seg.iter()).collect();
         reference.sort_by_key(|e| e.key);
         prop_assert_eq!(merged.len(), reference.len());
         for (got, want) in merged.iter().zip(&reference) {
