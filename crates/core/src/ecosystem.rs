@@ -1094,13 +1094,12 @@ impl Ecosystem {
         for id in unread {
             // The message can vanish mid-session (a hijack session for a
             // *different* captured credential may purge mail between
-            // events); skip silently like a real UI would.
-            let Some((kind, from)) = self
-                .provider
-                .mailbox(account)
-                .get(id)
-                .map(|m| (m.kind, m.from.clone()))
-            else {
+            // events); skip silently like a real UI would. Only a lure's
+            // sender is read below, so only a lure's is cloned.
+            let Some((kind, from)) = self.provider.mailbox(account).get(id).map(|m| {
+                let from = (m.kind == MessageKind::PhishingLure).then(|| m.from.clone());
+                (m.kind, from)
+            }) else {
                 continue;
             };
             self.provider.read_message(account, Actor::Owner, id, t);
@@ -1109,7 +1108,7 @@ impl Ecosystem {
                 self.provider.report_spam(account, id, t);
                 continue;
             }
-            if kind == MessageKind::PhishingLure {
+            if let Some(from) = from {
                 if self.provider.resolve(&from).is_some() {
                     self.stats.contact_lures_read += 1;
                 }
@@ -1134,6 +1133,9 @@ impl Ecosystem {
             t += SimDuration::from_secs(60 + self.rng_organic.below(120));
         }
         // Occasional own-mailbox search (FP material for the monitor).
+        // The monitor and Dataset 6 read only the logged query, and the
+        // owner does nothing with the hits, so the search is logged
+        // without being run.
         if self
             .rng_organic
             .chance(user.searches_per_day / user.logins_per_day.max(0.2))
@@ -1147,7 +1149,7 @@ impl Ecosystem {
                 "recipe",
             ];
             let q = queries[self.rng_organic.below(queries.len() as u64) as usize];
-            self.provider.search_mailbox(account, Actor::Owner, q, t);
+            self.provider.log_search(account, Actor::Owner, q, t);
         }
         self.drain_monitor_top();
     }

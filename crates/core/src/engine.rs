@@ -1428,6 +1428,130 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
 
+    /// `dataset_digest` hashes the derived `Debug` text of every
+    /// incident, session report and the run totals, so a field added,
+    /// removed, renamed or reordered in `Incident`, `RemissionReport`,
+    /// `SessionReport`, `RetentionReport` or `RunStats` moves every
+    /// pinned digest. This names that contract where it breaks. The
+    /// `..Default::default()` updates let a field added to either
+    /// `Default` struct compile and fail here with that message.
+    #[test]
+    #[allow(clippy::needless_update)]
+    fn digest_hashes_the_debug_text_of_incidents_sessions_and_stats() {
+        use mhw_adversary::{ExploitKind, RetentionReport};
+        use mhw_mailsys::Folder;
+        use mhw_recovery::RemissionReport;
+        use mhw_types::{AccountId, CrewId, EmailAddress, IncidentId, SimTime};
+
+        let contract = "dataset_digest hashes this Debug text: changing it moves every pinned \
+                        digest (the benchmark's pins, the committed artifacts)";
+        let incident = Incident {
+            id: IncidentId(7),
+            account: AccountId(42),
+            crew: CrewId(3),
+            hijack_start: SimTime::from_secs(1_000),
+            session: 5,
+            disabled_at: Some(SimTime::from_secs(1_200)),
+            flagged_at: Some(SimTime::from_secs(1_300)),
+            recovered_at: Some(SimTime::from_secs(9_000)),
+            remission: Some(RemissionReport {
+                messages_restored: 11,
+                contacts_restored: 2,
+                filters_removed: 1,
+                reply_to_reverted: true,
+                twofactor_disabled: true,
+                recovery_options_reverted: true,
+                app_passwords_revoked: 4,
+                ..RemissionReport::default()
+            }),
+            is_decoy: true,
+        };
+        assert_eq!(
+            format!("{incident:?}"),
+            "Incident { id: IncidentId(7), account: AccountId(42), crew: CrewId(3), \
+             hijack_start: SimTime(1000), session: 5, disabled_at: Some(SimTime(1200)), \
+             flagged_at: Some(SimTime(1300)), recovered_at: Some(SimTime(9000)), \
+             remission: Some(RemissionReport { messages_restored: 11, contacts_restored: 2, \
+             filters_removed: 1, reply_to_reverted: true, twofactor_disabled: true, \
+             recovery_options_reverted: true, app_passwords_revoked: 4 }), is_decoy: true }",
+            "{contract}"
+        );
+        let session = SessionReport {
+            crew: CrewId(3),
+            address: EmailAddress::new("victim", "homemail.com"),
+            account: Some(AccountId(42)),
+            started_at: SimTime::from_secs(1_000),
+            ended_at: SimTime::from_secs(2_100),
+            login_attempts: 2,
+            logged_in: true,
+            password_eventually_correct: true,
+            profiling_seconds: 180,
+            searches: vec!["wire transfer".to_string(), "账单".to_string()],
+            folders_opened: vec![Folder::Starred, Folder::Sent],
+            contacts_seen: 60,
+            value_score: 0.75,
+            exploited: true,
+            exploit_kind: Some(ExploitKind::ScamBlast),
+            messages_sent: 3,
+            scam_messages: 2,
+            phishing_messages: 1,
+            max_recipients: 40,
+            retention: RetentionReport {
+                password_changed: true,
+                recovery_options_changed: true,
+                mass_deleted: true,
+                filter_created: true,
+                reply_to_set: true,
+                twofactor_locked: true,
+            },
+            interrupted: true,
+            was_decoy: true,
+        };
+        assert_eq!(
+            format!("{session:?}"),
+            "SessionReport { crew: CrewId(3), \
+             address: EmailAddress { local: \"victim\", domain: \"homemail.com\" }, \
+             account: Some(AccountId(42)), started_at: SimTime(1000), ended_at: SimTime(2100), \
+             login_attempts: 2, logged_in: true, password_eventually_correct: true, \
+             profiling_seconds: 180, searches: [\"wire transfer\", \"账单\"], \
+             folders_opened: [Starred, Sent], contacts_seen: 60, value_score: 0.75, \
+             exploited: true, exploit_kind: Some(ScamBlast), messages_sent: 3, scam_messages: 2, \
+             phishing_messages: 1, max_recipients: 40, retention: RetentionReport { \
+             password_changed: true, recovery_options_changed: true, mass_deleted: true, \
+             filter_created: true, reply_to_set: true, twofactor_locked: true }, \
+             interrupted: true, was_decoy: true }",
+            "{contract}"
+        );
+        let stats = RunStats {
+            organic_logins: 1,
+            organic_challenges: 2,
+            organic_challenge_failures: 3,
+            lures_delivered: 4,
+            lures_spam_foldered: 5,
+            credentials_captured: 6,
+            contact_lure_captures: 7,
+            contact_lures_read: 8,
+            sessions_run: 9,
+            incidents: 10,
+            exploited: 11,
+            recovered: 12,
+            recovery_lockouts: 13,
+            recovery_step_ups: 14,
+            pivot_attempts: 15,
+            pivot_takeovers: 16,
+            ..RunStats::default()
+        };
+        assert_eq!(
+            format!("{stats:?}"),
+            "RunStats { organic_logins: 1, organic_challenges: 2, organic_challenge_failures: 3, \
+             lures_delivered: 4, lures_spam_foldered: 5, credentials_captured: 6, \
+             contact_lure_captures: 7, contact_lures_read: 8, sessions_run: 9, incidents: 10, \
+             exploited: 11, recovered: 12, recovery_lockouts: 13, recovery_step_ups: 14, \
+             pivot_attempts: 15, pivot_takeovers: 16 }",
+            "{contract}"
+        );
+    }
+
     fn tiny(seed: u64) -> ScenarioConfig {
         let mut c = ScenarioConfig::small_test(seed);
         c.days = 4;

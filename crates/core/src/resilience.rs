@@ -49,6 +49,9 @@ use std::str::FromStr;
 /// any sustained queueing is attributable to injected faults.
 pub const ARRIVAL_NS: u64 = 2 * NOMINAL_ASSESS_NS;
 
+/// Fault kinds the `seeded:` form counts.
+const SEEDED_KEYS: [&str; 3] = ["geo", "slow", "wipe"];
+
 /// A deterministic schedule of serve-tier faults, addressed by local
 /// event index within a replayed substream.
 ///
@@ -132,22 +135,35 @@ impl ServeFaultPlan {
     /// the count must be bounded before anything is allocated.
     pub fn parse_spec(spec: &str, seed: u64, n_events: u64) -> Result<Self, String> {
         let limit = format!("the stream's {n_events} events");
-        let entries = match faultspec::parse(spec, &["geo", "slow", "wipe"], n_events, &limit)? {
-            faultspec::FaultSpec::Seeded(counts) => {
-                // Each count is at most `n_events`, the length of an
-                // in-memory stream, so it fits a `usize`.
-                return Ok(ServeFaultPlan::seeded(
-                    seed,
-                    n_events,
-                    counts.get("geo") as usize,
-                    counts.get("slow") as usize,
-                    counts.get("wipe") as usize,
-                ));
-            }
-            faultspec::FaultSpec::Explicit(entries) => entries,
-        };
+        match faultspec::parse(spec, &SEEDED_KEYS, n_events, &limit)? {
+            // Each count is at most `n_events`, the length of an
+            // in-memory stream, so it fits a `usize`.
+            faultspec::FaultSpec::Seeded(counts) => Ok(ServeFaultPlan::seeded(
+                seed,
+                n_events,
+                counts.get("geo") as usize,
+                counts.get("slow") as usize,
+                counts.get("wipe") as usize,
+            )),
+            faultspec::FaultSpec::Explicit(entries) => Self::from_entries(&entries),
+        }
+    }
+
+    /// Check a spec's grammar before the stream's length is known, so a
+    /// CLI can refuse a malformed spec before it builds or reads the
+    /// stream. It returns every error [`parse_spec`](Self::parse_spec)
+    /// does except the seeded-count bound, and expands no seeded count.
+    pub fn check_grammar(spec: &str) -> Result<(), String> {
+        match faultspec::parse(spec, &SEEDED_KEYS, u64::MAX, "any stream's events")? {
+            faultspec::FaultSpec::Seeded(_) => Ok(()),
+            faultspec::FaultSpec::Explicit(entries) => Self::from_entries(&entries).map(drop),
+        }
+    }
+
+    /// The plan named by explicit `kind@coordinates` entries.
+    fn from_entries(entries: &[faultspec::FaultEntry]) -> Result<Self, String> {
         let mut plan = ServeFaultPlan::default();
-        for entry in &entries {
+        for entry in entries {
             let raw = entry.raw.as_str();
             let coords = entry.coords.as_str();
             match entry.kind.as_str() {
@@ -577,6 +593,25 @@ mod tests {
         let at_cap =
             ServeFaultPlan::parse_spec("seeded:geo=100,slow=100,wipe=100", 0, 100).unwrap();
         assert_eq!(at_cap, ServeFaultPlan::seeded(0, 100, 100, 100, 100));
+    }
+
+    /// The grammar check runs before the stream exists: it refuses
+    /// what `parse_spec` refuses at any stream length, with the same
+    /// message, and expands no seeded count.
+    #[test]
+    fn grammar_check_needs_no_stream() {
+        for spec in ["bogus", "geo-down@40..10", "slow-signal@dns:5", "explode@1", "seeded:geo=x"] {
+            let early = ServeFaultPlan::check_grammar(spec).unwrap_err();
+            assert_eq!(Err(early), ServeFaultPlan::parse_spec(spec, 0, 100), "{spec}");
+        }
+        let overflow = "seeded:geo=18446744073709551615,geo=1";
+        let err = ServeFaultPlan::check_grammar(overflow).unwrap_err();
+        assert!(err.contains("seeded `geo` faults exceed any stream's events"), "{err}");
+        // Seeded counts and coordinates past a stream are left to
+        // `parse_spec` and `validate`, which know its length; expanded,
+        // this count would hold ~2^64 geo windows.
+        ServeFaultPlan::check_grammar("seeded:geo=18446744073709551615").unwrap();
+        ServeFaultPlan::check_grammar("geo-down@10..4000000,cache-wipe@7").unwrap();
     }
 
     #[test]

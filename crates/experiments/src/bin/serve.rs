@@ -279,6 +279,14 @@ fn run(args: &[String]) -> Result<(), Failure> {
         None => ShedPolicy::default(),
     };
     let fault_spec = cli::value::<String>(args, "--fault-plan")?;
+    let fault_arms: Vec<&str> = fault_spec.as_deref().map_or_else(Vec::new, |spec| {
+        spec.split(';').map(str::trim).filter(|p| !p.is_empty()).collect()
+    });
+    // Refuse a malformed arm before the stream is built or read; only
+    // the seeded-count bound and the coordinate check need its length.
+    for part in &fault_arms {
+        ServeFaultPlan::check_grammar(part).map_err(usage)?;
+    }
 
     let geo = GeoDb::new();
     let (stream_seed, users, days, events) = if let Some(path) = log_in {
@@ -333,13 +341,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
     // coordinates apply to each worker's local substream, so ranges
     // past a short shard simply never fire there.
     let mut arms: Vec<ServeFaultPlan> = Vec::new();
-    if let Some(spec) = &fault_spec {
-        for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
-            let plan = ServeFaultPlan::parse_spec(part, stream_seed, events.len() as u64)
-                .map_err(usage)?;
-            plan.validate(events.len() as u64).map_err(usage)?;
-            arms.push(plan);
-        }
+    for part in &fault_arms {
+        let plan =
+            ServeFaultPlan::parse_spec(part, stream_seed, events.len() as u64).map_err(usage)?;
+        plan.validate(events.len() as u64).map_err(usage)?;
+        arms.push(plan);
     }
 
     // The clean arm: no faults and no deadline, so no signal ever

@@ -78,3 +78,14 @@ fn out_of_range_shards_exit_2() {
         assert_usage_error(env!("CARGO_BIN_EXE_scenario"), &args, entry);
     }
 }
+
+/// A malformed `--fault-plan` is refused before the login stream is
+/// built or read: with a `--log-in` file that does not exist, the run
+/// exits 2 naming the spec instead of failing to read the file (exit 1).
+#[test]
+fn a_bad_fault_plan_is_refused_before_the_stream() {
+    let path = std::env::temp_dir().join(format!("mhw-missing-log-{}.json", std::process::id()));
+    let path = path.to_str().expect("a UTF-8 temp path");
+    let args = ["--log-in", path, "--fault-plan", "bogus"];
+    assert_usage_error(env!("CARGO_BIN_EXE_serve"), &args, "bogus");
+}

@@ -72,14 +72,18 @@ impl Slot {
 ///
 /// Messages live in one vector of slots sorted by id. The provider
 /// hands out ids in increasing order, so storing new mail is a push;
-/// only remission restores insert in the middle. A second sorted vector
-/// indexes the unread Inbox ids, so an owner's login reads its newest
-/// unread mail without scanning the mailbox. `read` changes only
+/// only remission restores insert in the middle. The slots' ids are
+/// also kept as a column of their own, so a lookup binary-searches
+/// 4-byte ids instead of touching a slot per probe. A second sorted
+/// vector indexes the unread Inbox ids, so an owner's login reads its
+/// newest unread mail without scanning the mailbox. `read` changes only
 /// through [`Mailbox::mark_read`], which keeps that index exact.
 #[derive(Debug, Clone, Default)]
 pub struct Mailbox {
     /// Live messages, ascending by id.
     slots: Vec<Slot>,
+    /// `slots[i].message.id` at index `i`.
+    ids: Vec<MessageId>,
     /// Ids of unread Inbox messages, ascending.
     unread_inbox: Vec<MessageId>,
     /// Purged messages (tombstones for remission).
@@ -96,7 +100,7 @@ impl Mailbox {
     }
 
     fn position(&self, id: MessageId) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&id, |s| s.message.id)
+        self.ids.binary_search(&id)
     }
 
     fn slot_mut(&mut self, id: MessageId) -> Option<&mut Slot> {
@@ -120,12 +124,18 @@ impl Mailbox {
     fn insert(&mut self, slot: Slot) {
         let id = slot.message.id;
         let unread = slot.is_unread_inbox();
-        match self.slots.last() {
-            Some(last) if last.message.id >= id => match self.position(id) {
+        match self.ids.last() {
+            Some(&last) if last >= id => match self.position(id) {
                 Ok(i) => self.slots[i] = slot,
-                Err(i) => self.slots.insert(i, slot),
+                Err(i) => {
+                    self.slots.insert(i, slot);
+                    self.ids.insert(i, id);
+                }
             },
-            _ => self.slots.push(slot),
+            _ => {
+                self.slots.push(slot);
+                self.ids.push(id);
+            }
         }
         self.track_unread(id, unread);
     }
@@ -218,6 +228,7 @@ impl Mailbox {
             return false;
         };
         let Slot { message, folder } = self.slots.remove(i);
+        self.ids.remove(i);
         self.track_unread(id, false);
         self.tombstones.push(Tombstone { message, deleted_at: at, previous_folder: folder });
         true
@@ -227,13 +238,11 @@ impl Mailbox {
     /// tombstone for each. Returns the purged ids in id order.
     pub fn purge_all(&mut self, at: SimTime) -> Vec<MessageId> {
         self.unread_inbox.clear();
-        let mut ids = Vec::with_capacity(self.slots.len());
         self.tombstones.reserve(self.slots.len());
         for Slot { message, folder } in self.slots.drain(..) {
-            ids.push(message.id);
             self.tombstones.push(Tombstone { message, deleted_at: at, previous_folder: folder });
         }
-        ids
+        std::mem::take(&mut self.ids)
     }
 
     /// Restore every message tombstoned at or after `since` back into its

@@ -347,6 +347,14 @@ impl MailProvider {
     ) -> Vec<MessageId> {
         let q = SearchQuery::parse(raw_query);
         let hits = search(&self.accounts[account.index()].mailbox, &q);
+        self.log_search(account, actor, raw_query, at);
+        hits
+    }
+
+    /// Log a search without running it: the counter and the
+    /// `Searched` event of [`search_mailbox`](Self::search_mailbox),
+    /// for a searcher who never reads the hits.
+    pub fn log_search(&mut self, account: AccountId, actor: Actor, raw_query: &str, at: SimTime) {
         self.metrics.inc(M_SEARCHES);
         self.push_event(
             at,
@@ -354,7 +362,6 @@ impl MailProvider {
             actor,
             MailEventKind::Searched { query: raw_query.to_string() },
         );
-        hits
     }
 
     /// Open a folder view.
@@ -668,6 +675,43 @@ mod tests {
         match &rec.kind {
             MailEventKind::Searched { query } => assert_eq!(query, "wire transfer"),
             _ => unreachable!(),
+        }
+    }
+
+    /// `log_search` is `search_mailbox` minus the scan: one `Searched`
+    /// entry and one counted search, the same log entry for entry, the
+    /// same metrics and untouched mailboxes.
+    #[test]
+    fn log_search_is_search_mailbox_without_the_scan() {
+        let (mut searched, a, b) = setup2();
+        for i in 0..4 {
+            let d = MessageDraft::personal(vec![addr("bob")], &format!("bank statement {i}"), "x");
+            searched.send(a, Actor::Owner, d, SimTime::from_secs(i), never_spam);
+        }
+        let before = searched.clone();
+        let mut logged = searched.clone();
+        let crew = Actor::Hijacker(mhw_types::CrewId(3));
+        let at = SimTime::from_secs(90);
+        let hits = searched.search_mailbox(b, crew, "bank statement", at);
+        assert_eq!(hits.len(), 4, "the scan finds the seeded mail");
+        logged.log_search(b, crew, "bank statement", at);
+
+        let added: Vec<&MailEvent> =
+            logged.log().iter().skip(before.log().len()).map(|e| e.record).collect();
+        let kind = MailEventKind::Searched { query: "bank statement".to_string() };
+        assert_eq!(added, vec![&MailEvent { at, account: b, actor: crew, kind }]);
+        let searches = |p: &MailProvider| p.metrics().counter_value(M_SEARCHES).unwrap();
+        assert_eq!(searches(&logged), searches(&before) + 1);
+
+        let entries = |p: &MailProvider| {
+            p.log().iter().map(|e| (e.key, e.record.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(entries(&logged), entries(&searched));
+        assert_eq!(logged.metrics().snapshot(), searched.metrics().snapshot());
+        for account in [a, b] {
+            let contents = |p: &MailProvider| format!("{:?}", p.mailbox(account));
+            assert_eq!(contents(&logged), contents(&searched));
+            assert_eq!(contents(&logged), contents(&before));
         }
     }
 

@@ -51,6 +51,15 @@ cargo run --offline --release -p mhw-experiments --bin repro -- \
     --fidelity-out "$fidelity_tmp/FIDELITY.json" \
     --scorecard "$fidelity_tmp/FIDELITY.md"
 
+echo "== experiments =="
+# The full battery must write the committed EXPERIMENTS.md byte for
+# byte. Its worlds run every table and figure at full scale, so a
+# change that moves any world moves this file; the digest pins below
+# cover the benchmark's worlds only. About a minute.
+cargo run --offline --release -q -p mhw-experiments --bin repro -- \
+    --out "$fidelity_tmp/EXPERIMENTS.md" >/dev/null
+cmp EXPERIMENTS.md "$fidelity_tmp/EXPERIMENTS.md"
+
 echo "== restore =="
 # Crash and restore through the CLI: a checkpointed scenario killed by
 # an injected panic exits 1, and restoring it from its day-2 checkpoint
